@@ -52,6 +52,7 @@ from .estimator import (
 )
 from .harness import (
     BandwidthSelectionError,
+    BandwidthsConfig,
     ConfigError,
     ConvergenceConfig,
     ConvergenceResult,
@@ -100,6 +101,7 @@ __all__ = [
     "BandwidthConstants",
     "BandwidthReport",
     "BandwidthSelectionError",
+    "BandwidthsConfig",
     "Branch",
     "ChiSquareParams",
     "ConfigError",

@@ -47,6 +47,8 @@ __all__ = [
     "chen_constants",
     "chen_bandwidth",
     "BandwidthConstants",
+    "SelectorIntegrals",
+    "SELECTORS",
     "BandwidthReport",
     "bandwidth_report",
 ]
@@ -314,6 +316,15 @@ class RefinedBandwidth:
     roots: tuple[float, ...]
 
 
+def _residual_coefficients(ints: MiseIntegrals, n: int) -> tuple[float, float, float]:
+    """Coefficients of b, b^{-5/2} and b^{-3/2} in the stationarity residual."""
+    return (
+        ints.curvature / 8.0,
+        3.0 * ints.mass / (8.0 * _SQRT_PI * n),
+        ints.correction / (16.0 * _SQRT_PI * n),
+    )
+
+
 def refined_bandwidth(
     ref: ReferenceDensity,
     n: int,
@@ -332,9 +343,7 @@ def refined_bandwidth(
     """
     n = _check_n(n)
     ints = integrals if integrals is not None else mise_integrals(ref)
-    coef_b = ints.curvature / 8.0
-    coef_bm52 = 3.0 * ints.mass / (8.0 * _SQRT_PI * n)
-    coef_bm32 = ints.correction / (16.0 * _SQRT_PI * n)
+    coef_b, coef_bm52, coef_bm32 = _residual_coefficients(ints, n)
 
     def residual(b: float) -> float:
         return coef_b * b - coef_bm52 * b ** -2.5 + coef_bm32 * b ** -1.5
@@ -378,13 +387,16 @@ def chen_constants(
     return v, beta
 
 
-def chen_bandwidth(ref: ReferenceDensity, n: int) -> float:
-    """Density-oriented reference bandwidth b = (V / beta)^{2/5} n^{-2/5}."""
-    n = _check_n(n)
-    v, beta = chen_constants(ref)
+def _chen_from_constants(v: float, beta: float, n: int) -> float:
     if beta <= 0.0:
         raise ValueError("degenerate curvature (beta = 0); no reference bandwidth")
     return (v / beta) ** 0.4 * n ** -0.4
+
+
+def chen_bandwidth(ref: ReferenceDensity, n: int) -> float:
+    """Density-oriented reference bandwidth b = (V / beta)^{2/5} n^{-2/5}."""
+    n = _check_n(n)
+    return _chen_from_constants(*chen_constants(ref), n)
 
 
 @dataclass(frozen=True)
@@ -405,6 +417,70 @@ class BandwidthConstants:
     V: float
     beta: float
 
+    @classmethod
+    def build(
+        cls, ints: MiseIntegrals, n: int, v: float, beta: float
+    ) -> "BandwidthConstants":
+        coef_b, coef_bm52, coef_bm32 = _residual_coefficients(ints, n)
+        return cls(
+            numerator_27=(3.0 * ints.mass / _SQRT_PI) ** (2.0 / 7.0),
+            denominator_27=ints.curvature ** (2.0 / 7.0),
+            n_pow=n ** (-2.0 / 7.0),
+            coef_b=coef_b,
+            coef_bm52=coef_bm52,
+            coef_bm32=coef_bm32,
+            V=v,
+            beta=beta,
+        )
+
+
+class SelectorIntegrals:
+    """The integrals the selectors consume for one reference density.
+
+    Each set is evaluated on first use and at most once: a failure is kept
+    and raised again to every later selector that needs the same integrals.
+    """
+
+    def __init__(self, ref: ReferenceDensity, rel_tol: float = 1e-10):
+        self.ref = ref
+        self.rel_tol = rel_tol
+        self._memo: dict = {}
+
+    def _once(self, key: str, compute):
+        if key not in self._memo:
+            try:
+                self._memo[key] = compute(self.ref, self.rel_tol)
+            except (numerics.IntegrationError, ValueError) as exc:
+                self._memo[key] = exc
+        value = self._memo[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def mise(self) -> MiseIntegrals:
+        return self._once("mise", mise_integrals)
+
+    def chen(self) -> tuple[float, float]:
+        """The reference-rule pair (V, beta) of chen_constants."""
+        return self._once("chen", chen_constants)
+
+    def constants(self, n: int) -> BandwidthConstants:
+        return BandwidthConstants.build(self.mise(), n, *self.chen())
+
+
+# Every global selector as fn(integrals, n) -> bandwidth. The entries look
+# the selector functions up when called, not when this table is built, so a
+# module attribute replaced later (as bench/tracer.py does) is the one used.
+SELECTORS: dict[str, Callable[[SelectorIntegrals, int], float]] = {
+    "plugin": lambda ints, n: global_bandwidth_plugin(
+        ints.ref, n, integrals=ints.mise()
+    ),
+    "refined": lambda ints, n: refined_bandwidth(
+        ints.ref, n, integrals=ints.mise()
+    ).b_refined,
+    "chen": lambda ints, n: _chen_from_constants(*ints.chen(), _check_n(n)),
+}
+
 
 @dataclass(frozen=True)
 class BandwidthReport:
@@ -422,27 +498,12 @@ def bandwidth_report(
 ) -> BandwidthReport:
     """Compute all selectors and the constants needed to audit them."""
     n = _check_n(n)
-    ints = mise_integrals(ref, rel_tol)
-    v, beta = chen_constants(ref, rel_tol)
-    b_plugin = global_bandwidth_plugin(ref, n, integrals=ints)
-    refined = refined_bandwidth(ref, n, integrals=ints)
-    if beta <= 0.0:
-        raise ValueError("degenerate curvature (beta = 0); no reference bandwidth")
-    b_chen = (v / beta) ** 0.4 * n ** -0.4
-    constants = BandwidthConstants(
-        numerator_27=(3.0 * ints.mass / _SQRT_PI) ** (2.0 / 7.0),
-        denominator_27=ints.curvature ** (2.0 / 7.0),
-        n_pow=n ** (-2.0 / 7.0),
-        coef_b=ints.curvature / 8.0,
-        coef_bm52=3.0 * ints.mass / (8.0 * _SQRT_PI * n),
-        coef_bm32=ints.correction / (16.0 * _SQRT_PI * n),
-        V=v,
-        beta=beta,
-    )
+    ints = SelectorIntegrals(ref, rel_tol)
+    b = {name: select(ints, n) for name, select in SELECTORS.items()}
     return BandwidthReport(
         n=n,
-        b_plugin=b_plugin,
-        b_refined=refined.b_refined,
-        b_chen=b_chen,
-        constants=constants,
+        b_plugin=b["plugin"],
+        b_refined=b["refined"],
+        b_chen=b["chen"],
+        constants=ints.constants(n),
     )

@@ -28,6 +28,7 @@ from pathlib import Path
 from . import asymptotics, harness, numerics
 from .harness import (
     BandwidthSelectionError,
+    BandwidthsConfig,
     ConfigError,
     ConvergenceConfig,
     ExperimentConfig,
@@ -41,6 +42,7 @@ __all__ = ["main"]
 _OUT_ENV = "GAMMAKDE_OUT"
 _DEFAULT_OUT = "gammakde_out"
 _DEFAULT_SEED = 20260815
+_MAXWELL_1 = {"name": "maxwell", "sigma": 1.0}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,20 +50,19 @@ EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
 
-def _load_config_dict(path: str | None) -> dict | None:
-    if path is None:
-        return None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-    return obj
+def _load_config(args, cls, default: dict | None = None):
+    """The --config file, else `default`, parsed as `cls`; --seed replaces its seed."""
+    if args.config is None:
+        obj = default
+    else:
+        try:
+            obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    cfg = cls.from_dict(obj)
+    if args.seed is not None and hasattr(cfg, "seed"):
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
 
 
 def _resolve_out(args, cfg_output_dir: str | None) -> Path:
@@ -73,17 +74,6 @@ def _resolve_out(args, cfg_output_dir: str | None) -> Path:
     if cfg_output_dir:
         return Path(cfg_output_dir)
     return Path(_DEFAULT_OUT)
-
-
-def _default_experiment(n: int, seed: int) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(
-        {
-            "distribution": {"name": "maxwell", "sigma": 1.0},
-            "n": n,
-            "seed": seed,
-            "replications": 200,
-        }
-    )
 
 
 def _print_experiment_summary(report: harness.ExperimentReport) -> None:
@@ -102,21 +92,21 @@ def _print_experiment_summary(report: harness.ExperimentReport) -> None:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg_dict = _load_config_dict(args.config)
-    partial = False
-    if cfg_dict is None:
-        base_out = _resolve_out(args, None)
-        seed = args.seed if args.seed is not None else _DEFAULT_SEED
-        for n in (200, 2000):
-            cfg = _default_experiment(n, seed)
-            partial |= _run_one_experiment(cfg, base_out / f"n{n}", args.jobs)
+    if args.config is not None:
+        cfg = _load_config(args, ExperimentConfig)
+        partial = _run_one_experiment(cfg, _resolve_out(args, cfg.output_dir), args.jobs)
     else:
-        cfg = ExperimentConfig.from_dict(cfg_dict)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        partial |= _run_one_experiment(
-            cfg, _resolve_out(args, cfg.output_dir), args.jobs
-        )
+        partial = False
+        for n in (200, 2000):
+            default = {
+                "distribution": _MAXWELL_1,
+                "n": n,
+                "seed": _DEFAULT_SEED,
+                "replications": 200,
+            }
+            cfg = _load_config(args, ExperimentConfig, default)
+            out = _resolve_out(args, None) / f"n{n}"
+            partial |= _run_one_experiment(cfg, out, args.jobs)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -134,23 +124,13 @@ def _run_one_experiment(cfg: ExperimentConfig, out: Path, jobs: int) -> bool:
 
 
 def _cmd_bandwidths(args) -> int:
-    cfg_dict = _load_config_dict(args.config)
-    if cfg_dict is None:
-        cfg_dict = {"distribution": {"name": "maxwell", "sigma": 1.0}, "n": 2000}
-    unknown = set(cfg_dict) - {"distribution", "n", "output_dir"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        dist = harness._distribution_from_dict(cfg_dict["distribution"])
-        n = int(cfg_dict["n"])
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
-    report = asymptotics.bandwidth_report(reference_for(dist), n)
-    out = _resolve_out(args, cfg_dict.get("output_dir"))
+    cfg = _load_config(args, BandwidthsConfig, {"distribution": _MAXWELL_1, "n": 2000})
+    report = asymptotics.bandwidth_report(reference_for(cfg.distribution), cfg.n)
+    out = _resolve_out(args, cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(harness.bandwidth_report_dict(report), out / "bandwidths.json")
     print(
-        f"[{dist.label} n={n}] plugin={report.b_plugin:.6f} "
+        f"[{cfg.distribution.label} n={cfg.n}] plugin={report.b_plugin:.6f} "
         f"refined={report.b_refined:.6f} chen={report.b_chen:.6f}"
     )
     print(f"report written to {out / 'bandwidths.json'}")
@@ -158,17 +138,13 @@ def _cmd_bandwidths(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg_dict = _load_config_dict(args.config)
-    if cfg_dict is None:
-        cfg_dict = {
-            "distribution": {"name": "maxwell", "sigma": 1.0},
-            "n_list": [500, 1000, 2000, 4000, 8000],
-            "seed": _DEFAULT_SEED,
-            "replications": 200,
-        }
-    cfg = ConvergenceConfig.from_dict(cfg_dict)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    default = {
+        "distribution": _MAXWELL_1,
+        "n_list": [500, 1000, 2000, 4000, 8000],
+        "seed": _DEFAULT_SEED,
+        "replications": 200,
+    }
+    cfg = _load_config(args, ConvergenceConfig, default)
     result = harness.convergence_study(cfg, jobs=args.jobs)
     out = _resolve_out(args, cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,19 +157,15 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    cfg_dict = _load_config_dict(args.config)
-    if cfg_dict is None:
-        cfg_dict = {
-            "distribution": {"name": "maxwell", "sigma": 1.0},
-            "x_list": [0.5, 1.0, 2.0],
-            "b": 0.05,
-            "n": 100_000,
-            "seed": _DEFAULT_SEED,
-            "replications": 200,
-        }
-    cfg = MomentCheckConfig.from_dict(cfg_dict)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    default = {
+        "distribution": _MAXWELL_1,
+        "x_list": [0.5, 1.0, 2.0],
+        "b": 0.05,
+        "n": 100_000,
+        "seed": _DEFAULT_SEED,
+        "replications": 200,
+    }
+    cfg = _load_config(args, MomentCheckConfig, default)
     report = harness.asymptotic_moment_check(cfg, jobs=args.jobs)
     out = _resolve_out(args, None)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,9 @@ matter how many worker processes execute the replications.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, numerics
-from .asymptotics import BandwidthConstants, MiseIntegrals
+from .asymptotics import BandwidthConstants
 from .estimator import evaluate_on_grid
 from .ioutil import write_json
 from .refdens import (
@@ -42,6 +44,7 @@ __all__ = [
     "BandwidthSelectionError",
     "FixedBandwidth",
     "GridSpec",
+    "BandwidthsConfig",
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
@@ -91,6 +94,78 @@ class BandwidthSelectionError(RuntimeError):
         self.report = report
 
 
+def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Accept only an integer in [lo, hi]; floats and booleans are not cast."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _directory(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"output_dir must be a string or null, got {value!r}")
+    return value
+
+
+def _from_dict(cls, obj, what: str, **parsers):
+    """Build the dataclass `cls` from a JSON object keyed by its field names.
+
+    Unknown keys are rejected and absent ones take the field default.
+    parsers[key] turns the JSON value of `key` into the field value or
+    raises TypeError; the class's own checks run next. Any malformed value
+    ends as a ConfigError that names `what`.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(obj) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields:
+        has_default = not (
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        )
+        if f.name not in obj and not has_default:
+            raise ConfigError(f"missing {what} key: {f.name!r}")
+    try:
+        return cls(**{k: parsers[k](v) if k in parsers else v for k, v in obj.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+class _JsonConfig:
+    """The JSON grammar the config dataclasses share.
+
+    from_dict reads an object keyed by the field names, turning values with
+    the class's _parsers; to_dict writes the object from_dict reads back.
+    """
+
+    _parsers = {}
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        return _from_dict(cls, obj, "config", **cls._parsers)
+
+    def to_dict(self) -> dict:
+        out = dataclasses.asdict(self)
+        out["distribution"] = _distribution_to_dict(self.distribution)
+        return out
+
+
 @dataclass(frozen=True)
 class FixedBandwidth:
     """A user-pinned bandwidth, bypassing every selector."""
@@ -106,9 +181,6 @@ class FixedBandwidth:
         return f"fixed_{self.value:g}"
 
 
-_SELECTOR_MODES = ("plugin", "refined", "chen")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid: `points` equal steps over the half-open (min, max]."""
@@ -122,26 +194,28 @@ class GridSpec:
             raise ConfigError(f"grid min must be >= 0, got {self.min!r}")
         if not (math.isfinite(self.max) and self.max > self.min):
             raise ConfigError(f"grid max must exceed min, got {self.max!r}")
-        if not isinstance(self.points, int) or self.points < 2:
-            raise ConfigError(f"grid points must be an integer >= 2, got {self.points!r}")
+        _check_integer("grid points", self.points, 2)
 
     def array(self) -> np.ndarray:
         step = (self.max - self.min) / self.points
         return self.min + step * np.arange(1, self.points + 1)
 
 
-def _distribution_from_dict(obj) -> MaxwellParams | ChiSquareParams:
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConfigError(f"distribution must be an object with a 'name', got {obj!r}")
-    name = obj["name"]
-    try:
-        if name == "maxwell":
-            return MaxwellParams(sigma=float(obj.get("sigma", 1.0)))
-        if name == "chi_square":
-            return ChiSquareParams(m=int(obj["m"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad distribution parameters: {exc}") from exc
-    raise ConfigError(f"unknown distribution name {name!r}")
+def _grid(obj) -> GridSpec:
+    return _from_dict(GridSpec, obj, "grid", min=_number, max=_number)
+
+
+_DISTRIBUTIONS = {"maxwell": MaxwellParams, "chi_square": ChiSquareParams}
+
+
+def _distribution(obj) -> MaxwellParams | ChiSquareParams:
+    if not isinstance(obj, dict) or obj.get("name") not in _DISTRIBUTIONS:
+        raise ConfigError(
+            f"distribution must be an object with a 'name' in "
+            f"{sorted(_DISTRIBUTIONS)}, got {obj!r}"
+        )
+    params = {k: v for k, v in obj.items() if k != "name"}
+    return _from_dict(_DISTRIBUTIONS[obj["name"]], params, "distribution", sigma=_number)
 
 
 def _distribution_to_dict(dist) -> dict:
@@ -150,29 +224,36 @@ def _distribution_to_dict(dist) -> dict:
     return {"name": "chi_square", "m": dist.m}
 
 
-def _mode_from_json(obj) -> str | FixedBandwidth:
-    if isinstance(obj, str):
-        if obj not in _SELECTOR_MODES:
-            raise ConfigError(f"unknown bandwidth mode {obj!r}")
-        return obj
-    if isinstance(obj, dict) and set(obj) == {"fixed"}:
-        try:
-            return FixedBandwidth(value=float(obj["fixed"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad fixed bandwidth: {exc}") from exc
-    raise ConfigError(f"bandwidth mode must be a name or {{'fixed': b}}, got {obj!r}")
+def _modes(obj) -> tuple:
+    """Each {"fixed": b} becomes FixedBandwidth(b); ExperimentConfig checks all."""
+    return tuple(
+        FixedBandwidth(value=_number(m["fixed"]))
+        if isinstance(m, dict) and set(m) == {"fixed"}
+        else m
+        for m in obj
+    )
 
 
 def _mode_label(mode: str | FixedBandwidth) -> str:
     return mode if isinstance(mode, str) else mode.label
 
 
-def _mode_to_json(mode: str | FixedBandwidth):
-    return mode if isinstance(mode, str) else {"fixed": mode.value}
+@dataclass(frozen=True)
+class BandwidthsConfig(_JsonConfig):
+    """Inputs of the bandwidth selectors: one density at one sample size."""
+
+    distribution: MaxwellParams | ChiSquareParams
+    n: int
+    output_dir: str | None = None
+
+    _parsers = {"distribution": _distribution, "output_dir": _directory}
+
+    def __post_init__(self):
+        _check_integer("n", self.n, 1)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_JsonConfig):
     """One repeated-sampling experiment at a fixed sample size."""
 
     distribution: MaxwellParams | ChiSquareParams
@@ -180,76 +261,40 @@ class ExperimentConfig:
     seed: int
     replications: int
     grid: GridSpec = field(default_factory=GridSpec)
-    bandwidth_modes: tuple = ("plugin", "refined", "chen")
+    bandwidth_modes: tuple = tuple(asymptotics.SELECTORS)
     output_dir: str | None = None
 
+    _parsers = {
+        "distribution": _distribution,
+        "grid": _grid,
+        "bandwidth_modes": _modes,
+        "output_dir": _directory,
+    }
+
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 1 <= self.n <= 100_000:
-            raise ConfigError(f"n must be an integer in [1, 100000], got {self.n!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.replications, int) or not 1 <= self.replications <= 500:
-            raise ConfigError(
-                f"replications must be an integer in [1, 500], got {self.replications!r}"
-            )
+        _check_integer("n", self.n, 1, 100_000)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("replications", self.replications, 1, 500)
         if not self.bandwidth_modes:
             raise ConfigError("at least one bandwidth mode is required")
+        for mode in self.bandwidth_modes:
+            if not isinstance(mode, FixedBandwidth) and not (
+                isinstance(mode, str) and mode in asymptotics.SELECTORS
+            ):
+                raise ConfigError(
+                    f"bandwidth mode must be one of {list(asymptotics.SELECTORS)} "
+                    f"or {{'fixed': b}}, got {mode!r}"
+                )
         labels = [_mode_label(m) for m in self.bandwidth_modes]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate bandwidth modes: {labels}")
 
-    @staticmethod
-    def from_dict(obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        unknown = set(obj) - {
-            "distribution",
-            "n",
-            "seed",
-            "replications",
-            "grid",
-            "bandwidth_modes",
-            "output_dir",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            grid_obj = obj.get("grid", {})
-            grid = GridSpec(
-                min=float(grid_obj.get("min", 0.02)),
-                max=float(grid_obj.get("max", 4.0)),
-                points=int(grid_obj.get("points", 400)),
-            )
-            modes = tuple(
-                _mode_from_json(m)
-                for m in obj.get("bandwidth_modes", list(_SELECTOR_MODES))
-            )
-            return ExperimentConfig(
-                distribution=_distribution_from_dict(obj["distribution"]),
-                n=int(obj["n"]),
-                seed=int(obj["seed"]),
-                replications=int(obj["replications"]),
-                grid=grid,
-                bandwidth_modes=modes,
-                output_dir=obj.get("output_dir"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
-
     def to_dict(self) -> dict:
-        return {
-            "distribution": _distribution_to_dict(self.distribution),
-            "n": self.n,
-            "seed": self.seed,
-            "replications": self.replications,
-            "grid": {"min": self.grid.min, "max": self.grid.max, "points": self.grid.points},
-            "bandwidth_modes": [_mode_to_json(m) for m in self.bandwidth_modes],
-            "output_dir": self.output_dir,
-        }
+        out = super().to_dict()
+        out["bandwidth_modes"] = [
+            m if isinstance(m, str) else {"fixed": m.value} for m in self.bandwidth_modes
+        ]
+        return out
 
 
 @dataclass
@@ -285,10 +330,16 @@ def _experiment_task(args):
 
 
 def _map_tasks(task_fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    """task_fn over tasks, results in task order, on up to `jobs` processes.
+
+    The pool starts all of its workers at once, so it gets no more than
+    there are tasks or CPUs.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [task_fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task_fn, tasks, chunksize=chunk))
 
 
@@ -310,55 +361,24 @@ def run_experiment(
     grid = cfg.grid.array()
     truth = np.asarray(ref.d1(grid), dtype=float)
 
-    integrals: MiseIntegrals | None = None
-    integrals_error: Exception | None = None
-
-    def get_integrals() -> MiseIntegrals:
-        nonlocal integrals, integrals_error
-        if integrals is None:
-            if integrals_error is not None:
-                raise integrals_error
-            try:
-                integrals = asymptotics.mise_integrals(ref)
-            except (numerics.IntegrationError, ValueError) as exc:
-                integrals_error = exc
-                raise
-        return integrals
-
+    integrals = asymptotics.SelectorIntegrals(ref)
     bandwidths: dict = {}
     failures: dict = {}
     for mode in cfg.bandwidth_modes:
         label = _mode_label(mode)
         try:
-            if mode == "plugin":
-                bandwidths[label] = asymptotics.global_bandwidth_plugin(
-                    ref, cfg.n, integrals=get_integrals()
-                )
-            elif mode == "refined":
-                bandwidths[label] = asymptotics.refined_bandwidth(
-                    ref, cfg.n, integrals=get_integrals()
-                ).b_refined
-            elif mode == "chen":
-                bandwidths[label] = asymptotics.chen_bandwidth(ref, cfg.n)
-            else:
+            if isinstance(mode, FixedBandwidth):
                 bandwidths[label] = mode.value
+            else:
+                bandwidths[label] = asymptotics.SELECTORS[mode](integrals, cfg.n)
         except (numerics.IntegrationError, numerics.NoRootError, ValueError) as exc:
             failures[label] = f"{type(exc).__name__}: {exc}"
 
+    # The audit constants accompany the MISE-based rules, when they ran.
     constants = None
-    if integrals is not None:
+    if {"plugin", "refined"} & set(cfg.bandwidth_modes):
         try:
-            v, beta = asymptotics.chen_constants(ref)
-            constants = BandwidthConstants(
-                numerator_27=(3.0 * integrals.mass / math.sqrt(math.pi)) ** (2.0 / 7.0),
-                denominator_27=integrals.curvature ** (2.0 / 7.0),
-                n_pow=cfg.n ** (-2.0 / 7.0),
-                coef_b=integrals.curvature / 8.0,
-                coef_bm52=3.0 * integrals.mass / (8.0 * math.sqrt(math.pi) * cfg.n),
-                coef_bm32=integrals.correction / (16.0 * math.sqrt(math.pi) * cfg.n),
-                V=v,
-                beta=beta,
-            )
+            constants = integrals.constants(cfg.n)
         except (numerics.IntegrationError, ValueError):
             constants = None
 
@@ -368,7 +388,6 @@ def run_experiment(
         for rep in range(cfg.replications if labeled else 0)
     ]
     results = _map_tasks(_experiment_task, tasks, jobs)
-    results.sort(key=lambda item: item[0])
 
     per_replication = []
     ise_by_mode: dict = {label: [] for label, _ in labeled}
@@ -446,23 +465,7 @@ def _reference_comparison_notes(cfg: ExperimentConfig, bandwidths: dict) -> list
 
 def bandwidth_report_dict(report: asymptotics.BandwidthReport) -> dict:
     """JSON-ready form of a BandwidthReport."""
-    c = report.constants
-    return {
-        "n": report.n,
-        "b_plugin": report.b_plugin,
-        "b_refined": report.b_refined,
-        "b_chen": report.b_chen,
-        "constants": {
-            "numerator_27": c.numerator_27,
-            "denominator_27": c.denominator_27,
-            "n_pow": c.n_pow,
-            "coef_b": c.coef_b,
-            "coef_bm52": c.coef_bm52,
-            "coef_bm32": c.coef_bm32,
-            "V": c.V,
-            "beta": c.beta,
-        },
-    }
+    return dataclasses.asdict(report)
 
 
 def report_dict(report: ExperimentReport) -> dict:
@@ -476,17 +479,7 @@ def report_dict(report: ExperimentReport) -> dict:
         "notes": list(report.notes),
     }
     if report.constants is not None:
-        c = report.constants
-        out["bandwidth_constants"] = {
-            "numerator_27": c.numerator_27,
-            "denominator_27": c.denominator_27,
-            "n_pow": c.n_pow,
-            "coef_b": c.coef_b,
-            "coef_bm52": c.coef_bm52,
-            "coef_bm32": c.coef_bm32,
-            "V": c.V,
-            "beta": c.beta,
-        }
+        out["bandwidth_constants"] = dataclasses.asdict(report.constants)
     if report.bandwidth_errors:
         out["bandwidth_errors"] = dict(report.bandwidth_errors)
     return out
@@ -508,7 +501,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
 
 
 @dataclass(frozen=True)
-class ConvergenceConfig:
+class ConvergenceConfig(_JsonConfig):
     """Rate study: plug-in bandwidth per sample size, log-log MISE fit."""
 
     distribution: MaxwellParams | ChiSquareParams
@@ -518,69 +511,26 @@ class ConvergenceConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     output_dir: str | None = None
 
+    _parsers = {
+        "distribution": _distribution,
+        "grid": _grid,
+        "n_list": tuple,
+        "output_dir": _directory,
+    }
+
     def __post_init__(self):
         if len(self.n_list) < 4:
             raise ConfigError(
                 f"rate fit needs at least 4 sample sizes, got {len(self.n_list)}"
             )
-        if any(not isinstance(n, int) or not 1 <= n <= 100_000 for n in self.n_list):
-            raise ConfigError(f"sample sizes must be integers in [1, 100000]: {self.n_list}")
+        for n in self.n_list:
+            _check_integer("every sample size in n_list", n, 1, 100_000)
         if len(set(self.n_list)) != len(self.n_list):
             raise ConfigError(
                 f"duplicate sample sizes make the rate fit degenerate: {self.n_list}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.replications, int) or not 1 <= self.replications <= 500:
-            raise ConfigError(
-                f"replications must be an integer in [1, 500], got {self.replications!r}"
-            )
-
-    @staticmethod
-    def from_dict(obj: dict) -> "ConvergenceConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("convergence config must be a JSON object")
-        unknown = set(obj) - {
-            "distribution",
-            "n_list",
-            "seed",
-            "replications",
-            "grid",
-            "output_dir",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            grid_obj = obj.get("grid", {})
-            grid = GridSpec(
-                min=float(grid_obj.get("min", 0.02)),
-                max=float(grid_obj.get("max", 4.0)),
-                points=int(grid_obj.get("points", 400)),
-            )
-            return ConvergenceConfig(
-                distribution=_distribution_from_dict(obj["distribution"]),
-                n_list=tuple(int(n) for n in obj["n_list"]),
-                seed=int(obj["seed"]),
-                replications=int(obj["replications"]),
-                grid=grid,
-                output_dir=obj.get("output_dir"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "distribution": _distribution_to_dict(self.distribution),
-            "n_list": list(self.n_list),
-            "seed": self.seed,
-            "replications": self.replications,
-            "grid": {"min": self.grid.min, "max": self.grid.max, "points": self.grid.points},
-            "output_dir": self.output_dir,
-        }
+        _check_integer("seed", self.seed, 0)
+        _check_integer("replications", self.replications, 1, 500)
 
 
 @dataclass(frozen=True)
@@ -643,7 +593,7 @@ def convergence_result_dict(cfg: ConvergenceConfig, result: ConvergenceResult) -
 
 
 @dataclass(frozen=True)
-class MomentCheckConfig:
+class MomentCheckConfig(_JsonConfig):
     """Pointwise Monte Carlo check of the leading bias and variance."""
 
     distribution: MaxwellParams | ChiSquareParams
@@ -652,6 +602,12 @@ class MomentCheckConfig:
     n: int
     seed: int
     replications: int
+
+    _parsers = {
+        "distribution": _distribution,
+        "x_list": lambda xs: tuple(_number(x) for x in xs),
+        "b": _number,
+    }
 
     def __post_init__(self):
         if not self.x_list:
@@ -665,47 +621,9 @@ class MomentCheckConfig:
             )
         if list(self.x_list) != sorted(set(self.x_list)):
             raise ConfigError("x_list must be strictly increasing")
-        if not isinstance(self.n, int) or not 1 <= self.n <= 100_000:
-            raise ConfigError(f"n must be an integer in [1, 100000], got {self.n!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.replications, int) or not 1 <= self.replications <= 1000:
-            raise ConfigError(
-                f"replications must be an integer in [1, 1000], got {self.replications!r}"
-            )
-
-    @staticmethod
-    def from_dict(obj: dict) -> "MomentCheckConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("moment check config must be a JSON object")
-        unknown = set(obj) - {"distribution", "x_list", "b", "n", "seed", "replications"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return MomentCheckConfig(
-                distribution=_distribution_from_dict(obj["distribution"]),
-                x_list=tuple(float(x) for x in obj["x_list"]),
-                b=float(obj["b"]),
-                n=int(obj["n"]),
-                seed=int(obj["seed"]),
-                replications=int(obj["replications"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "distribution": _distribution_to_dict(self.distribution),
-            "x_list": list(self.x_list),
-            "b": self.b,
-            "n": self.n,
-            "seed": self.seed,
-            "replications": self.replications,
-        }
+        _check_integer("n", self.n, 1, 100_000)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("replications", self.replications, 1, 1000)
 
 
 @dataclass(frozen=True)
@@ -733,7 +651,7 @@ def _moment_task(args):
     dist, n, root_seed, rep, xs, b = args
     s = sample(dist, n, derived_seed(root_seed, rep))
     ev = evaluate_on_grid(s, b, xs)
-    return rep, ev.derivative
+    return ev.derivative
 
 
 def asymptotic_moment_check(
@@ -746,9 +664,7 @@ def asymptotic_moment_check(
         (cfg.distribution, cfg.n, cfg.seed, rep, xs, cfg.b)
         for rep in range(cfg.replications)
     ]
-    results = _map_tasks(_moment_task, tasks, jobs)
-    results.sort(key=lambda item: item[0])
-    estimates = np.vstack([row for _, row in results])
+    estimates = np.vstack(_map_tasks(_moment_task, tasks, jobs))
 
     mc_mean = estimates.mean(axis=0)
     if cfg.replications > 1:
@@ -792,18 +708,6 @@ def asymptotic_moment_check(
 def moment_check_dict(report: MomentCheckReport) -> dict:
     return {
         "config": report.config.to_dict(),
-        "rows": [
-            {
-                "x": r.x,
-                "mc_mean": r.mc_mean,
-                "mc_variance": r.mc_variance,
-                "true_derivative": r.true_derivative,
-                "predicted_bias": r.predicted_bias,
-                "predicted_variance": r.predicted_variance,
-                "bias_z": r.bias_z,
-                "variance_ratio": r.variance_ratio,
-            }
-            for r in report.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in report.rows],
         "notes": list(report.notes),
     }

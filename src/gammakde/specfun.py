@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["log_gamma", "digamma", "digamma_asymptotic", "stirling_ratio"]
+__all__ = ["log_gamma", "digamma", "stirling_ratio"]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -56,9 +56,8 @@ def log_gamma(z: float) -> float:
 _DIGAMMA_SHIFT = 16.0
 
 
-def digamma_asymptotic(z: float) -> float:
-    """Large-argument digamma expansion; caller ensures z is large enough."""
-    z = _validate_positive(z, "digamma_asymptotic")
+def _digamma_asymptotic(z: float) -> float:
+    """Large-argument digamma expansion; digamma shifts z to >= 16 first."""
     inv = 1.0 / z
     inv2 = inv * inv
     # Bernoulli-number series; truncation error ~ z^{-10}, below 1e-13 for
@@ -82,7 +81,7 @@ def digamma(z: float) -> float:
     while z < _DIGAMMA_SHIFT:
         acc -= 1.0 / z
         z += 1.0
-    return acc + digamma_asymptotic(z)
+    return acc + _digamma_asymptotic(z)
 
 
 # Stirling-series correction lnGamma(z+1) - [0.5 ln(2 pi) + (z+1/2) ln z - z];

@@ -1,6 +1,7 @@
 """CLI surface: config loading, output resolution, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,48 @@ class TestBandwidths:
             {"distribution": {"name": "maxwell"}, "n": 100, "replications": 5},
         )
         assert main(["bandwidths", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("n", [0, "abc", 200.7, True])
+    def test_bad_sample_size_is_a_config_error(self, tmp_path, capsys, n):
+        cfg = write_config(
+            tmp_path, {"distribution": {"name": "maxwell", "sigma": 1.0}, "n": n}
+        )
+        assert main(
+            ["bandwidths", "--config", cfg, "--out", str(tmp_path / "bw")]
+        ) == EXIT_CONFIG
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "bw").exists()
+
+    def test_unknown_distribution_key(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"distribution": {"name": "maxwell", "sigm": 10}, "n": 200}
+        )
+        assert main(["bandwidths", "--config", cfg]) == EXIT_CONFIG
+        assert "sigm" in capsys.readouterr().err
+
+    def test_default_file_matches_golden_bytes(self, tmp_path):
+        out = tmp_path / "bw"
+        assert main(["bandwidths", "--out", str(out)]) == EXIT_OK
+        golden = Path(__file__).with_name("data") / "bandwidths_default.json"
+        assert (out / "bandwidths.json").read_bytes() == golden.read_bytes()
+
+    def test_experiment_constants_match_bandwidths_file(self, tmp_path):
+        dist = {"name": "maxwell", "sigma": 1.0}
+        bw = write_config(tmp_path, {"distribution": dist, "n": 200}, "bw.json")
+        experiment = {
+            "distribution": dist,
+            "n": 200,
+            "seed": 1,
+            "replications": 1,
+            "grid": {"points": 10},
+            "bandwidth_modes": ["plugin"],
+        }
+        ex = write_config(tmp_path, experiment, "ex.json")
+        assert main(["bandwidths", "--config", bw, "--out", str(tmp_path / "bw")]) == EXIT_OK
+        assert main(["reproduce", "--config", ex, "--out", str(tmp_path / "ex")]) == EXIT_OK
+        bandwidths = json.loads((tmp_path / "bw" / "bandwidths.json").read_text())
+        report = json.loads((tmp_path / "ex" / "report.json").read_text())
+        assert report["bandwidth_constants"] == bandwidths["constants"]
 
     def test_numerical_failure_exit(self, tmp_path, capsys):
         cfg = write_config(

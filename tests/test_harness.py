@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from gammakde import harness
 from gammakde.harness import (
     BandwidthSelectionError,
+    BandwidthsConfig,
     ConfigError,
     ConvergenceConfig,
     ExperimentConfig,
@@ -99,6 +101,74 @@ class TestConfigs:
             with pytest.raises(ConfigError):
                 cls.from_dict({**good, "bandwith": 0.1})
 
+    @pytest.mark.parametrize(
+        "key,value", [("n", 200.7), ("n", "60"), ("seed", 1.5), ("replications", True)]
+    )
+    def test_integer_fields_are_not_cast(self, key, value):
+        good = small_config().to_dict()
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({**good, key: value})
+
+    def test_integer_fields_are_not_cast_elsewhere(self):
+        conv = ConvergenceConfig(
+            distribution=MAXWELL, n_list=(100, 200, 400, 800), seed=9,
+            replications=3,
+        ).to_dict()
+        with pytest.raises(ConfigError):
+            ConvergenceConfig.from_dict({**conv, "n_list": [100, 200.5, 400, 800]})
+        with pytest.raises(ConfigError):
+            ConvergenceConfig.from_dict({**conv, "grid": {"points": 40.0}})
+        with pytest.raises(ConfigError):
+            BandwidthsConfig.from_dict(
+                {"distribution": {"name": "chi_square", "m": 6.9}, "n": 200}
+            )
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {"name": "maxwell", "sigm": 10},
+            {"name": "chi_square", "m": 6, "sigma": 1.0},
+            {"name": "maxwell", "sigma": "10"},
+            {"name": "gamma"},
+            {"sigma": 1.0},
+        ],
+    )
+    def test_bad_distribution_rejected(self, dist):
+        good = {
+            ExperimentConfig: small_config().to_dict(),
+            MomentCheckConfig: MomentCheckConfig(
+                distribution=MAXWELL, x_list=(0.5,), b=0.05, n=500, seed=3,
+                replications=10,
+            ).to_dict(),
+            BandwidthsConfig: {"n": 200},
+        }
+        for cls, obj in good.items():
+            with pytest.raises(ConfigError):
+                cls.from_dict({**obj, "distribution": dist})
+
+    def test_output_dir_must_be_a_string(self):
+        good = small_config().to_dict()
+        assert ExperimentConfig.from_dict({**good, "output_dir": "out"}).output_dir == "out"
+        with pytest.raises(ConfigError, match="output_dir"):
+            ExperimentConfig.from_dict({**good, "output_dir": 5})
+        with pytest.raises(ConfigError, match="output_dir"):
+            BandwidthsConfig.from_dict(
+                {"distribution": {"name": "maxwell"}, "n": 200, "output_dir": ["a"]}
+            )
+
+    def test_unknown_grid_key_rejected(self):
+        good = small_config().to_dict()
+        with pytest.raises(ConfigError, match="pts"):
+            ExperimentConfig.from_dict({**good, "grid": {"pts": 40}})
+
+    def test_bandwidths_config(self):
+        cfg = BandwidthsConfig.from_dict(
+            {"distribution": {"name": "maxwell"}, "n": 200, "output_dir": "bw"}
+        )
+        assert cfg == BandwidthsConfig(MAXWELL, 200, "bw")
+        with pytest.raises(ConfigError, match="missing config key: 'n'"):
+            BandwidthsConfig.from_dict({"distribution": {"name": "maxwell"}})
+
     def test_mode_parsing(self):
         d = small_config().to_dict()
         d["bandwidth_modes"] = ["plugin", {"fixed": 0.3}]
@@ -111,6 +181,10 @@ class TestConfigs:
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ConfigError):
             small_config(bandwidth_modes=("plugin", "plugin"))
+
+    def test_unknown_mode_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="gaussian"):
+            small_config(bandwidth_modes=("gaussian",))
 
     def test_experiment_bounds(self):
         with pytest.raises(ConfigError):
@@ -138,6 +212,39 @@ class TestConfigs:
                 distribution=MAXWELL, x_list=(0.05, 1.0), b=0.05, n=100, seed=1,
                 replications=5,
             )
+
+
+class TestWorkerPool:
+    def test_workers_clamped_to_tasks_and_cpus(self, monkeypatch):
+        # A recording stand-in: no process is ever started.
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                seen.append(chunksize)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        tasks = list(range(-40, 0))
+        assert harness._map_tasks(abs, tasks, 10_000) == [abs(t) for t in tasks]
+        assert seen == [4, 40 // (4 * 4)]
+        seen.clear()
+        assert harness._map_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+        assert seen == [3, 1]
+        seen.clear()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._map_tasks(abs, [-1, -2], 8) == [1, 2]
+        assert seen == []  # no CPU count: one worker, so no pool
 
 
 class TestRunExperiment:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammakde.kernels import (
@@ -198,11 +198,16 @@ def test_fd_agreement_property(x, b, t):
     b=st.floats(min_value=1e-3, max_value=1.0),
 )
 @settings(max_examples=200, deadline=None)
+@example(x=1.1, b=0.8868321468091691)
 def test_shape_rule_property(x, b):
     s = shape_params(x, b)
     if x >= 2.0 * b:
         assert s.branch is Branch.INTERIOR and s.rho == x / b and s.rho >= 2.0
     else:
         assert s.branch is Branch.BOUNDARY
-        assert s.rho == (x / (2.0 * b)) ** 2 + 1.0
+        # The oracle squares through libm pow, which may land 1 ulp away
+        # from shape_params' half * half (1.3846294412618383 against
+        # 1.384629441261838 at the example above).
+        want = (x / (2.0 * b)) ** 2 + 1.0
+        assert abs(s.rho - want) <= 4.0 * math.ulp(want)
         assert 1.0 <= s.rho < 2.0
