@@ -69,6 +69,7 @@ from .harness import (
 )
 from .kernels import Branch, KernelShape, kernel_value, kernel_x_derivative, shape_params
 from .numerics import (
+    DegenerateIntegralError,
     IntegrationError,
     NoRootError,
     QuadratureResult,
@@ -107,6 +108,7 @@ __all__ = [
     "ConfigError",
     "ConvergenceConfig",
     "ConvergenceResult",
+    "DegenerateIntegralError",
     "ExperimentConfig",
     "ExperimentReport",
     "FixedBandwidth",

@@ -297,7 +297,9 @@ def global_bandwidth_plugin(
     n = _check_n(n)
     ints = integrals if integrals is not None else mise_integrals(ref)
     if ints.curvature <= 0.0:
-        raise ValueError("degenerate curvature integral; no plug-in bandwidth")
+        raise numerics.DegenerateIntegralError(
+            "degenerate curvature integral; no plug-in bandwidth"
+        )
     ratio = 3.0 * ints.mass / (_SQRT_PI * ints.curvature)
     return ratio ** (2.0 / 7.0) * n ** (-2.0 / 7.0)
 
@@ -389,7 +391,9 @@ def chen_constants(
 
 def _chen_from_constants(v: float, beta: float, n: int) -> float:
     if beta <= 0.0:
-        raise ValueError("degenerate curvature (beta = 0); no reference bandwidth")
+        raise numerics.DegenerateIntegralError(
+            "degenerate curvature (beta = 0); no reference bandwidth"
+        )
     return (v / beta) ** 0.4 * n ** -0.4
 
 

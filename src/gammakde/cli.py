@@ -8,9 +8,11 @@ bandwidths    bandwidth selectors and their audit constants for one config
 converge      MISE decay-rate study across a ladder of sample sizes
 verify-lemmas Monte Carlo check of the leading bias/variance predictions
 
-Common flags: --config (JSON file), --seed (override), --out (output
-directory; overrides the GAMMAKDE_OUT environment variable, which in turn
-overrides the config's output_dir), --jobs (worker processes).
+Common flags: --config (JSON file), --out (output directory; overrides the
+GAMMAKDE_OUT environment variable, which in turn overrides the config's
+output_dir), --jobs (worker processes). Every subcommand but bandwidths,
+which draws no sample, takes --seed (override); bandwidths accepts --jobs
+for a uniform command line but runs in one process.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 partial results (some bandwidth rules failed; everything else written).
@@ -60,7 +62,7 @@ def _load_config(args, cls, default: dict | None = None):
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     cfg = cls.from_dict(obj)
-    if args.seed is not None and hasattr(cfg, "seed"):
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
@@ -196,9 +198,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        if name == "bandwidths":
+            # No sample, so no seed; --jobs is kept so that one command line
+            # works for every subcommand.
+            jobs_help = "accepted and unused: bandwidths runs in one process"
+        else:
+            p.add_argument("--seed", type=int, help="override the config seed")
+            jobs_help = "worker processes"
+        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         p.set_defaults(fn=fn)
     return parser
 

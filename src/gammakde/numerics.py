@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "QuadratureResult",
     "IntegrationError",
+    "DegenerateIntegralError",
     "NoRootError",
     "integrate_semi_infinite",
     "find_root",
@@ -98,6 +99,14 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, partial: QuadratureResult | None = None):
         super().__init__(message)
         self.partial = partial
+
+
+class DegenerateIntegralError(IntegrationError, ValueError):
+    """An integral that a bandwidth rule divides by came out zero or negative.
+
+    A ValueError as well, which is what these cases raised before they had
+    a type of their own.
+    """
 
 
 class NoRootError(RuntimeError):

@@ -1,15 +1,19 @@
-"""Scalar special functions used by the kernel and bandwidth machinery.
+"""Special functions used by the kernel and bandwidth machinery.
 
 Only positive real arguments are supported; that is all the gamma-kernel
-shapes ever produce. Everything here is plain Python floats so the callers
-can embed these in vectorized expressions as per-gridpoint constants.
+shapes ever produce. log_gamma_array and digamma_array evaluate a whole
+array of shapes at once, which is how the estimator builds its per-point
+kernel constants (kernels.KernelPlan); log_gamma and digamma are their
+one-element forms for plain Python floats.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["log_gamma", "digamma", "stirling_ratio"]
+import numpy as np
+
+__all__ = ["log_gamma", "log_gamma_array", "digamma", "digamma_array", "stirling_ratio"]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -29,59 +33,73 @@ _LANCZOS_COEF = (
 )
 
 
-def _validate_positive(z: float, name: str) -> float:
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise ValueError(f"{name} requires a finite argument > 0, got {z!r}")
-    return z
+def _check_positive(z, name: str) -> np.ndarray:
+    arr = np.asarray(z, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if np.any(bad):
+        raise ValueError(
+            f"{name} requires finite arguments > 0, got {float(arr[bad].flat[0])!r}"
+        )
+    return arr
+
+
+def log_gamma_array(z) -> np.ndarray:
+    """Natural log of the gamma function, elementwise, for an array of z > 0."""
+    z = _check_positive(z, "log_gamma")
+    small = z < 0.5
+    # One shift, log Gamma(z) = log Gamma(z + 1) - log z, keeps the Lanczos
+    # sum in its accurate range.
+    w = np.where(small, z + 1.0, z) - 1.0
+    acc = np.full_like(w, _LANCZOS_COEF[0])
+    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+        acc += c / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    out = _LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(acc)
+    return np.where(small, out - np.log(z), out)
 
 
 def log_gamma(z: float) -> float:
     """Natural log of the gamma function for z > 0."""
-    z = _validate_positive(z, "log_gamma")
-    if z < 0.5:
-        # One shift keeps the Lanczos sum in its accurate range.
-        return log_gamma(z + 1.0) - math.log(z)
-    w = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (w + 0.5) * math.log(t) - t + math.log(acc)
+    return float(log_gamma_array(np.array([z], dtype=float))[0])
 
 
 # Coefficients of the large-argument expansion
 # digamma(z) ~ ln z - 1/(2z) - 1/(12 z^2) + 1/(120 z^4) - 1/(252 z^6),
-# remainder O(z^-8). Accurate to ~1e-12 at the shift threshold below.
-_DIGAMMA_SHIFT = 16.0
+# remainder O(z^-8). Accurate to ~1e-12 at the shift below.
+_DIGAMMA_SHIFT = 16
 
 
-def _digamma_asymptotic(z: float) -> float:
+def _digamma_asymptotic(z: np.ndarray) -> np.ndarray:
     """Large-argument digamma expansion; digamma shifts z to >= 16 first."""
     inv = 1.0 / z
     inv2 = inv * inv
     # Bernoulli-number series; truncation error ~ z^{-10}, below 1e-13 for
     # the z >= 16 arguments the public digamma shifts into.
     return (
-        math.log(z)
+        np.log(z)
         - 0.5 * inv
         - inv2
         * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
     )
 
 
-def digamma(z: float) -> float:
-    """Digamma (logarithmic derivative of gamma) for z > 0.
+def digamma_array(z) -> np.ndarray:
+    """Digamma (logarithmic derivative of gamma), elementwise, for z > 0.
 
-    Small arguments are shifted upward with digamma(z) = digamma(z+1) - 1/z
-    until the asymptotic expansion applies.
+    Every argument is shifted up the same 16 steps with
+    digamma(z) = digamma(z+1) - 1/z, which puts all of them where the
+    asymptotic expansion applies without a per-element loop count.
     """
-    z = _validate_positive(z, "digamma")
-    acc = 0.0
-    while z < _DIGAMMA_SHIFT:
-        acc -= 1.0 / z
-        z += 1.0
-    return acc + _digamma_asymptotic(z)
+    z = _check_positive(z, "digamma")
+    acc = np.zeros_like(z)
+    for k in range(_DIGAMMA_SHIFT):
+        acc -= 1.0 / (z + k)
+    return acc + _digamma_asymptotic(z + _DIGAMMA_SHIFT)
+
+
+def digamma(z: float) -> float:
+    """Digamma (logarithmic derivative of gamma) for z > 0."""
+    return float(digamma_array(np.array([z], dtype=float))[0])
 
 
 # Stirling-series correction lnGamma(z+1) - [0.5 ln(2 pi) + (z+1/2) ln z - z];

@@ -15,6 +15,9 @@ MAXWELL_EXPERIMENT = {
     "grid": {"min": 0.05, "max": 3.5, "points": 40},
 }
 
+# So narrow that the selector integrals come out 0 (see ROADMAP item 3).
+NARROW_MAXWELL = {"name": "maxwell", "sigma": 3e-5}
+
 CHI3_EXPERIMENT = {
     "distribution": {"name": "chi_square", "m": 3},
     "n": 50,
@@ -86,6 +89,16 @@ class TestReproduce:
         assert "partial results" in captured.err
         data = json.loads((out / "report.json").read_text())
         assert set(data["bandwidth_errors"]) == {"plugin", "refined", "chen"}
+
+    def test_partial_when_curvature_degenerates(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {**MAXWELL_EXPERIMENT, "distribution": NARROW_MAXWELL}
+        )
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_PARTIAL
+        data = json.loads((out / "report.json").read_text())
+        for mode in ("plugin", "chen"):
+            assert "degenerate curvature" in data["bandwidth_errors"][mode]
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, MAXWELL_EXPERIMENT)
@@ -223,7 +236,43 @@ class TestBandwidths:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    def test_degenerate_curvature_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"distribution": NARROW_MAXWELL, "n": 200})
+        assert main(
+            ["bandwidths", "--config", cfg, "--out", str(tmp_path / "bw")]
+        ) == EXIT_NUMERICAL
+        assert "numerical failure: degenerate curvature" in capsys.readouterr().err
+
+    def test_seed_rejected(self, tmp_path, capsys):
+        # bandwidths draws no sample, so a seed would be silently ignored
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bandwidths", "--seed", "5", "--out", str(tmp_path / "bw")])
+        assert exc_info.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "bw").exists()
+
+    def test_jobs_accepted(self, tmp_path):
+        out = tmp_path / "bw"
+        assert main(["bandwidths", "--jobs", "2", "--out", str(out)]) == EXIT_OK
+        golden = Path(__file__).with_name("data") / "bandwidths_default.json"
+        assert (out / "bandwidths.json").read_bytes() == golden.read_bytes()
+
+
 class TestConverge:
+    def test_degenerate_curvature_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": NARROW_MAXWELL,
+                "n_list": [50, 100, 200, 400],
+                "seed": 11,
+                "replications": 2,
+            },
+        )
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "numerical failure: degenerate curvature" in capsys.readouterr().err
+
     def test_small_study(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

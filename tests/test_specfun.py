@@ -6,11 +6,18 @@ pasted here, so the suite never depends on mpmath at run time.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammakde.specfun import digamma, log_gamma, stirling_ratio
+from gammakde.specfun import (
+    digamma,
+    digamma_array,
+    log_gamma,
+    log_gamma_array,
+    stirling_ratio,
+)
 
 from conftest import rel_err
 
@@ -69,6 +76,41 @@ def test_log_gamma_table(z, want):
 @pytest.mark.parametrize("z,want", sorted(DIGAMMA_TABLE.items()))
 def test_digamma_table(z, want):
     assert abs(digamma(z) - want) / max(1.0, abs(want)) < 1e-11
+
+
+def _shuffled_table(table):
+    # One call mixes the z < 0.5, [0.5, 16) and >= 16 ranges, out of order.
+    zs = np.array(sorted(table))
+    order = np.random.default_rng(3).permutation(zs.size)
+    assert np.any(zs < 0.5) and np.any((zs >= 0.5) & (zs < 16.0)) and np.any(zs >= 16.0)
+    return zs[order], np.array([table[z] for z in zs[order]])
+
+
+def test_log_gamma_array_table():
+    zs, want = _shuffled_table(LOG_GAMMA_TABLE)
+    got = log_gamma_array(zs)
+    assert got.shape == zs.shape
+    assert np.all(np.abs(got - want) / np.maximum(1.0, np.abs(want)) < 1e-13)
+
+
+def test_digamma_array_table():
+    zs, want = _shuffled_table(DIGAMMA_TABLE)
+    got = digamma_array(zs)
+    assert got.shape == zs.shape
+    assert np.all(np.abs(got - want) / np.maximum(1.0, np.abs(want)) < 1e-11)
+
+
+def test_array_forms_match_scalar_forms():
+    zs = np.concatenate([np.logspace(-3, 4, 200), [0.5, 16.0]])
+    assert np.array_equal(log_gamma_array(zs), [log_gamma(z) for z in zs])
+    assert np.array_equal(digamma_array(zs), [digamma(z) for z in zs])
+
+
+@pytest.mark.parametrize("fn", [log_gamma_array, digamma_array])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_array_domain_errors(fn, bad):
+    with pytest.raises(ValueError):
+        fn(np.array([1.0, bad, 2.0]))
 
 
 @pytest.mark.parametrize("z,want", sorted(STIRLING_TABLE.items()))
