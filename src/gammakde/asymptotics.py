@@ -341,10 +341,15 @@ def refined_bandwidth(
                           + (1 / (16 sqrt(pi) n)) b^{-3/2} correction
 
     solved on (1e-4, 1) by scanning 200 log-spaced brackets and bisecting
-    each sign change.
+    each sign change. Without a positive curvature integral the residual has
+    no meaningful root, and DegenerateIntegralError is raised.
     """
     n = _check_n(n)
     ints = integrals if integrals is not None else mise_integrals(ref)
+    if ints.curvature <= 0.0:
+        raise numerics.DegenerateIntegralError(
+            "degenerate curvature integral; no refined bandwidth"
+        )
     coef_b, coef_bm52, coef_bm32 = _residual_coefficients(ints, n)
 
     def residual(b: float) -> float:

@@ -60,10 +60,11 @@ class KernelPlan:
     lognorm = rho ln b + ln Gamma(rho), psi = digamma(rho), whether the
     interior branch applies, and the prefactor of the x-derivative:
     1 / b on the interior branch and x / (2 b^2) on the boundary branch.
+    These arrays are read-only, so that one plan can serve many callers.
     """
 
     def __init__(self, xs, b: float):
-        xs = np.asarray(xs, dtype=float)
+        xs = np.array(xs, dtype=float)
         b = float(b)
         if xs.ndim != 1:
             raise ValueError("evaluation points must form a 1-D array")
@@ -81,6 +82,9 @@ class KernelPlan:
         self.lognorm = self.rho * math.log(b) + log_gamma_array(self.rho)
         self.psi = digamma_array(self.rho)
         self.prefactor = np.where(self.interior, 1.0 / b, xs / (2.0 * b * b))
+        for arr in (self.xs, self.interior, self.rho, self.lognorm, self.psi,
+                    self.prefactor):
+            arr.flags.writeable = False
 
     def fill_kernel(self, rows: slice, log_t, t_over_b, out: np.ndarray) -> np.ndarray:
         """Write the kernels of the points in `rows` at observations t > 0 into out.

@@ -211,10 +211,16 @@ def sample(params: MaxwellParams | ChiSquareParams, n: int, seed: int) -> Sample
     rng = _generator(seed)
     if isinstance(params, MaxwellParams):
         g = rng.standard_normal((n, 3))
-        values = params.sigma * np.sqrt((g * g).sum(axis=1))
+        g *= g
+        # numpy sums a row of fewer than 8 entries left to right, so adding
+        # the columns gives the bits of g.sum(axis=1) without the reduction.
+        values = params.sigma * np.sqrt(g[:, 0] + g[:, 1] + g[:, 2])
     elif isinstance(params, ChiSquareParams):
         g = rng.standard_normal((n, params.m))
-        values = (g * g).sum(axis=1)
+        g *= g
+        # From 8 entries numpy sums a row pairwise; column additions differ
+        # from that in 31-85% of rows for m = 8..200, so the reduction stays.
+        values = g.sum(axis=1)
     else:
         raise TypeError(f"unsupported distribution parameters: {params!r}")
     return Sample(values=values, meta=SampleMeta(seed=int(seed), source=params.label))

@@ -28,7 +28,12 @@ from gammakde.asymptotics import (
     squared_kernel_constant_stirling,
     variance_leading,
 )
-from gammakde.numerics import IntegrationError, NoRootError, minimize_scalar
+from gammakde.numerics import (
+    DegenerateIntegralError,
+    IntegrationError,
+    NoRootError,
+    minimize_scalar,
+)
 from gammakde.refdens import ReferenceDensity, chi_square_reference, maxwell_reference
 
 from conftest import rel_err
@@ -312,6 +317,17 @@ class TestMiseAndSelectors:
             refined_bandwidth(
                 maxwell, 100, integrals=MiseIntegrals(1.0, 0.0, 1.0)
             )
+
+    def test_refined_degenerate_curvature(self, maxwell):
+        # All-zero integrals make the residual identically zero, so every
+        # scan edge would pass for a root.
+        for ints in (MiseIntegrals(0.0, 0.0, 0.0), MiseIntegrals(-1.0, 1.0, 1.0)):
+            with pytest.raises(DegenerateIntegralError):
+                refined_bandwidth(maxwell, 100, integrals=ints)
+
+    def test_refined_narrow_maxwell_is_degenerate(self):
+        with pytest.raises(DegenerateIntegralError, match="refined"):
+            refined_bandwidth(maxwell_reference(sigma=3e-5), 100)
 
     def test_chen_frozen(self, maxwell):
         assert rel_err(chen_bandwidth(maxwell, 200), 0.04404420451736353) < 1e-9

@@ -100,6 +100,18 @@ class TestReproduce:
         for mode in ("plugin", "chen"):
             assert "degenerate curvature" in data["bandwidth_errors"][mode]
 
+    def test_refined_fails_when_curvature_degenerates(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"distribution": NARROW_MAXWELL, "n": 100, "seed": 1, "replications": 2},
+        )
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_PARTIAL
+        data = json.loads((out / "report.json").read_text())
+        assert set(data["bandwidth_errors"]) == {"plugin", "refined", "chen"}
+        assert "degenerate curvature" in data["bandwidth_errors"]["refined"]
+        assert "refined" not in data["bandwidths"]
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, MAXWELL_EXPERIMENT)
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gammakde import estimator
 from gammakde.estimator import (
     GridEvaluation,
     Sample,
@@ -17,7 +18,7 @@ from gammakde.estimator import (
     save_grid_csv,
 )
 from gammakde.harness import GridSpec
-from gammakde.kernels import Branch, kernel_x_derivative, shape_params
+from gammakde.kernels import Branch, KernelPlan, kernel_x_derivative, shape_params
 from gammakde.numerics import integrate_semi_infinite
 from gammakde.refdens import sample as draw_sample
 from gammakde.refdens import MaxwellParams
@@ -174,6 +175,15 @@ class TestGrid:
         )
         assert abs(mass.value - 1.0) < 0.01
 
+    def test_one_row_per_block(self):
+        # 1e5 observations fill a whole block with one row
+        s = draw_sample(MaxwellParams(), 100_000, 9)
+        grid = np.array([0.5, 1.0, 2.0])
+        ev = evaluate_on_grid(s, 0.05, grid)
+        for i, x in enumerate(grid):
+            assert ev.density[i] == density_at(s, 0.05, x)
+            assert ev.derivative[i] == derivative_at(s, 0.05, x)
+
     def test_grid_validation(self):
         s = Sample(np.array([1.0]))
         with pytest.raises(ValueError):
@@ -229,6 +239,67 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 2**20
+
+    def test_peak_is_a_cache_sized_block(self):
+        # The block is 2**17 doubles (1 MiB); the sample-length arrays of an
+        # n = 8000 call and the plan add about a quarter of that.
+        s = draw_sample(MaxwellParams(), 8000, 4)
+        grid = GridSpec().array()
+        estimator._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            evaluate_on_grid(s, 0.1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+
+class TestPlanMemo:
+    def test_warm_equals_cold(self):
+        s = draw_sample(MaxwellParams(), 3000, 21)
+        grid = GridSpec().array()
+        estimator._plan.cache_clear()
+        cold = evaluate_on_grid(s, 0.12, grid)
+        hits = estimator._plan.cache_info().hits
+        warm = evaluate_on_grid(s, 0.12, grid)
+        assert estimator._plan.cache_info().hits == hits + 1
+        assert np.array_equal(cold.density, warm.density)
+        assert np.array_equal(cold.derivative, warm.derivative)
+
+    def test_plan_arrays_are_read_only(self):
+        grid = np.linspace(0.0, 2.0, 11)
+        plan = KernelPlan(grid, 0.1)
+        for name in ("xs", "interior", "rho", "lognorm", "psi", "prefactor"):
+            arr = getattr(plan, name)
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        grid[0] = 0.5  # the caller's points stay writable and are not shared
+        assert plan.xs[0] == 0.0
+
+    def test_memo_is_bounded(self):
+        s = draw_sample(MaxwellParams(), 50, 2)
+        grid = np.linspace(0.1, 2.0, 7)
+        size = estimator._PLAN_MEMO_SIZE
+        for k in range(3 * size):
+            evaluate_on_grid(s, 0.05 + 0.01 * k, grid)
+            assert estimator._plan.cache_info().currsize <= size
+        assert estimator._plan.cache_info().currsize == size
+
+    def test_bad_input_raises_with_warm_memo(self):
+        s = draw_sample(MaxwellParams(), 50, 2)
+        grid = np.array([0.5, 1.0])
+        evaluate_on_grid(s, 0.1, grid)
+        bad_points = np.array([-0.5, 1.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="evaluation point must be finite"):
+                evaluate_on_grid(s, 0.1, bad_points)
+            for b in (0.0, -0.1, math.nan, math.inf):
+                with pytest.raises(ValueError, match="bandwidth must be finite"):
+                    evaluate_on_grid(s, b, grid)
+            # the same bytes as the warm grid, but not a 1-D array of points
+            with pytest.raises(ValueError, match="1-D"):
+                density_at(s, 0.1, [0.5, 1.0])
 
 
 class TestGridEvaluation:

@@ -128,6 +128,28 @@ def test_sample_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+def _old_formula_draws(m: int, n: int, seed: int) -> np.ndarray:
+    """Sum of squares of m normals per row, as g.sum(axis=1) of the squares."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    g = rng.standard_normal((n, m))
+    return (g * g).sum(axis=1)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 20260815])
+@pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 10.0])
+def test_maxwell_draws_equal_row_reduction(sigma, n, seed):
+    want = sigma * np.sqrt(_old_formula_draws(3, n, seed))
+    assert np.array_equal(sample(MaxwellParams(sigma=sigma), n, seed).values, want)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("m", [3, 8, 50])
+def test_chi_square_draws_equal_row_reduction(m, seed):
+    want = _old_formula_draws(m, 1000, seed)
+    assert np.array_equal(sample(ChiSquareParams(m=m), 1000, seed).values, want)
+
+
 def test_sample_positive():
     s = sample(ChiSquareParams(m=4), 10_000, 7)
     assert np.all(s.values > 0.0)
