@@ -14,7 +14,7 @@ refdens      reference densities (Maxwell, chi-square) and exact sampling
 asymptotics  bias/variance/MSE/MISE expansions and bandwidth selectors
 harness      experiment configs, replication engine, JSON/CSV reports
 specfun      log-gamma, digamma, Stirling gamma ratio (self-contained)
-numerics     adaptive quadrature on (0, inf), bisection, golden section
+numerics     adaptive quadrature on (0, inf), bisection
 cli          `gammakde` command line front end
 """
 
@@ -73,10 +73,8 @@ from .numerics import (
     IntegrationError,
     NoRootError,
     QuadratureResult,
-    central_difference,
     find_root,
     integrate_semi_infinite,
-    minimize_scalar,
 )
 from .refdens import (
     ChiSquareParams,
@@ -132,7 +130,6 @@ __all__ = [
     "bandwidth_report",
     "bias_boundary",
     "bias_interior",
-    "central_difference",
     "chen_bandwidth",
     "chen_constants",
     "chi_square_pdf_derivs",
@@ -155,7 +152,6 @@ __all__ = [
     "maxwell_cdf",
     "maxwell_pdf_derivs",
     "maxwell_reference",
-    "minimize_scalar",
     "mise_integrals",
     "mise_leading",
     "mse_leading",

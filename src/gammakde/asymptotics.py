@@ -18,6 +18,7 @@ O(n^-1 b^-3/2): the optimum scales as n^(-2/7) and the MSE there as n^(-4/7).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_QUAD_REL_TOL = 1e-10  # relative accuracy of every global integral
 _ROOT_SCAN_EDGES = 201  # 200 log-spaced brackets over the scan interval
 _ROOT_SCAN_LO = 1e-4
 _ROOT_SCAN_HI = 1.0
@@ -249,16 +251,16 @@ class MiseIntegrals:
     correction: float
 
 
-def mise_integrals(ref: ReferenceDensity, rel_tol: float = 1e-10) -> MiseIntegrals:
+def mise_integrals(ref: ReferenceDensity) -> MiseIntegrals:
     """Evaluate the global integrals; diverging ones raise IntegrationError."""
     curvature = numerics.integrate_semi_infinite(
-        lambda t: curvature_term(ref, t), rel_tol
+        lambda t: curvature_term(ref, t), _QUAD_REL_TOL
     ).value
     mass = numerics.integrate_semi_infinite(
-        lambda t: t ** -1.5 * ref.pdf(t), rel_tol
+        lambda t: t ** -1.5 * ref.pdf(t), _QUAD_REL_TOL
     ).value
     correction = numerics.integrate_semi_infinite(
-        lambda t: t ** -1.5 * (ref.pdf(t) / t - ref.d1(t)), rel_tol
+        lambda t: t ** -1.5 * (ref.pdf(t) / t - ref.d1(t)), _QUAD_REL_TOL
     ).value
     return MiseIntegrals(curvature=curvature, mass=mass, correction=correction)
 
@@ -308,9 +310,8 @@ def global_bandwidth_plugin(
 class RefinedBandwidth:
     """Root-based refinement of the plug-in bandwidth.
 
-    residual is the stationarity function whose roots are candidate
-    bandwidths; roots lists every sign-change root found on the scan
-    interval and b_refined is the one with the lowest leading MISE.
+    residual is the stationarity function and b_refined its root; roots
+    holds that one root, since the residual changes sign at most once.
     """
 
     b_refined: float
@@ -337,12 +338,18 @@ def refined_bandwidth(
 
     The residual whose root is sought is
 
-        (b / 8) curvature - (3 / (8 sqrt(pi) n)) b^{-5/2} mass
-                          + (1 / (16 sqrt(pi) n)) b^{-3/2} correction
+        c1 b - c2 b^{-5/2} + c3 b^{-3/2},
+        c1 = curvature / 8,  c2 = 3 mass / (8 sqrt(pi) n),
+        c3 = correction / (16 sqrt(pi) n).
 
-    solved on (1e-4, 1) by scanning 200 log-spaced brackets and bisecting
-    each sign change. Without a positive curvature integral the residual has
-    no meaningful root, and DegenerateIntegralError is raised.
+    Times b^{5/2} it is g(b) = c1 b^{7/2} + c3 b - c2. Here c1 > 0 (checked
+    below) and c2 >= 0, since mise_integrals sums a nonnegative integrand
+    with positive Kronrod weights. So g is strictly convex with g(0) <= 0,
+    and the residual changes sign at most once, from negative to positive.
+    A binary search over 201 log-spaced edges of (1e-4, 1) finds the bracket
+    of that sign change, and bisection the root; a root outside the window
+    raises NoRootError. Without a positive curvature integral the residual
+    has no meaningful root, and DegenerateIntegralError is raised.
     """
     n = _check_n(n)
     ints = integrals if integrals is not None else mise_integrals(ref)
@@ -358,38 +365,31 @@ def refined_bandwidth(
     edges = np.logspace(
         math.log10(_ROOT_SCAN_LO), math.log10(_ROOT_SCAN_HI), _ROOT_SCAN_EDGES
     )
-    values = np.array([residual(e) for e in edges])
-    roots: list[float] = []
-    for lo, hi, v_lo, v_hi in zip(edges[:-1], edges[1:], values[:-1], values[1:]):
-        if v_lo == 0.0:
-            roots.append(float(lo))
-        elif v_lo * v_hi < 0.0:
-            roots.append(numerics.find_root(residual, float(lo), float(hi), 1e-13))
-    if values[-1] == 0.0:
-        roots.append(float(edges[-1]))
-    if not roots:
+    first, last = residual(edges[0]), residual(edges[-1])
+    if first > 0.0 or last < 0.0:
         raise numerics.NoRootError(
             "stationarity residual has no sign change on "
             f"({_ROOT_SCAN_LO:g}, {_ROOT_SCAN_HI:g}): endpoints "
-            f"{values[0]:.6e} and {values[-1]:.6e}"
+            f"{first:.6e} and {last:.6e}"
         )
-    best = min(roots, key=lambda r: mise_leading(ref, r, n, integrals=ints))
-    return RefinedBandwidth(b_refined=best, residual=residual, roots=tuple(roots))
+    # The first edge with residual >= 0; its bracket's lower edge is < 0
+    # unless the residual vanishes on edges[0] itself.
+    i = max(1, bisect.bisect_left(edges, True, key=lambda e: residual(e) >= 0.0))
+    root = numerics.find_root(residual, float(edges[i - 1]), float(edges[i]), 1e-13)
+    return RefinedBandwidth(b_refined=root, residual=residual, roots=(root,))
 
 
-def chen_constants(
-    ref: ReferenceDensity, rel_tol: float = 1e-10
-) -> tuple[float, float]:
+def chen_constants(ref: ReferenceDensity) -> tuple[float, float]:
     """Constants (V, beta) of the density-oriented reference rule.
 
     V = (1 / (2 sqrt(pi))) integral of x^{-1/2} f(x)
     beta = integral of (x f''(x))^2
     """
     v = numerics.integrate_semi_infinite(
-        lambda t: np.sqrt(1.0 / t) * ref.pdf(t), rel_tol
+        lambda t: np.sqrt(1.0 / t) * ref.pdf(t), _QUAD_REL_TOL
     ).value / (2.0 * _SQRT_PI)
     beta = numerics.integrate_semi_infinite(
-        lambda t: (t * ref.d2(t)) ** 2, rel_tol
+        lambda t: (t * ref.d2(t)) ** 2, _QUAD_REL_TOL
     ).value
     return v, beta
 
@@ -450,15 +450,14 @@ class SelectorIntegrals:
     and raised again to every later selector that needs the same integrals.
     """
 
-    def __init__(self, ref: ReferenceDensity, rel_tol: float = 1e-10):
+    def __init__(self, ref: ReferenceDensity):
         self.ref = ref
-        self.rel_tol = rel_tol
         self._memo: dict = {}
 
     def _once(self, key: str, compute):
         if key not in self._memo:
             try:
-                self._memo[key] = compute(self.ref, self.rel_tol)
+                self._memo[key] = compute(self.ref)
             except (numerics.IntegrationError, ValueError) as exc:
                 self._memo[key] = exc
         value = self._memo[key]
@@ -502,12 +501,10 @@ class BandwidthReport:
     constants: BandwidthConstants
 
 
-def bandwidth_report(
-    ref: ReferenceDensity, n: int, *, rel_tol: float = 1e-10
-) -> BandwidthReport:
+def bandwidth_report(ref: ReferenceDensity, n: int) -> BandwidthReport:
     """Compute all selectors and the constants needed to audit them."""
     n = _check_n(n)
-    ints = SelectorIntegrals(ref, rel_tol)
+    ints = SelectorIntegrals(ref)
     b = {name: select(ints, n) for name, select in SELECTORS.items()}
     return BandwidthReport(
         n=n,

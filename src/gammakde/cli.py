@@ -130,7 +130,7 @@ def _cmd_bandwidths(args) -> int:
     report = asymptotics.bandwidth_report(reference_for(cfg.distribution), cfg.n)
     out = _resolve_out(args, cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(harness.bandwidth_report_dict(report), out / "bandwidths.json")
+    write_json(dataclasses.asdict(report), out / "bandwidths.json")
     print(
         f"[{cfg.distribution.label} n={cfg.n}] plugin={report.b_plugin:.6f} "
         f"refined={report.b_refined:.6f} chen={report.b_chen:.6f}"

@@ -50,7 +50,6 @@ __all__ = [
     "run_experiment",
     "report_dict",
     "write_report",
-    "bandwidth_report_dict",
     "ConvergenceConfig",
     "ConvergenceResult",
     "convergence_study",
@@ -463,11 +462,6 @@ def _reference_comparison_notes(cfg: ExperimentConfig, bandwidths: dict) -> list
     return notes
 
 
-def bandwidth_report_dict(report: asymptotics.BandwidthReport) -> dict:
-    """JSON-ready form of a BandwidthReport."""
-    return dataclasses.asdict(report)
-
-
 def report_dict(report: ExperimentReport) -> dict:
     """JSON-ready form of an ExperimentReport (curves go to CSV files)."""
     out = {
@@ -555,11 +549,9 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     ref = reference_for(cfg.distribution)
     grid = cfg.grid.array()
     truth = np.asarray(ref.d1(grid), dtype=float)
-    integrals = asymptotics.mise_integrals(ref)
-    bandwidths = {
-        n: asymptotics.global_bandwidth_plugin(ref, n, integrals=integrals)
-        for n in cfg.n_list
-    }
+    integrals = asymptotics.SelectorIntegrals(ref)
+    plugin = asymptotics.SELECTORS["plugin"]
+    bandwidths = {n: plugin(integrals, n) for n in cfg.n_list}
     tasks = [
         (cfg.distribution, n, bandwidths[n], cfg.seed, i, rep, grid, truth)
         for i, n in enumerate(cfg.n_list)

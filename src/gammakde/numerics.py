@@ -24,8 +24,6 @@ __all__ = [
     "NoRootError",
     "integrate_semi_infinite",
     "find_root",
-    "minimize_scalar",
-    "central_difference",
 ]
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
@@ -82,6 +80,7 @@ _GAUSS_WEIGHTS = np.array(
 
 _TAIL_CUTOFF = 1e-14  # panel mass below this fraction of the total ends the tail
 _MAX_TAIL_DOUBLINGS = 64
+_MAX_EVALS = 1_000_000  # integrand evaluations per integral
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ def integrate_semi_infinite(
     rel_tol: float = 1e-10,
     *,
     abs_tol: float = 0.0,
-    max_evals: int = 1_000_000,
     initial_breakpoints: Sequence[float] | None = None,
 ) -> QuadratureResult:
     """Integrate a vectorized g over (0, infinity).
@@ -151,8 +149,6 @@ def integrate_semi_infinite(
     abs_tol : float
         Optional absolute accuracy floor; needed when the integral itself is
         (near) zero and a purely relative target can never be met.
-    max_evals : int
-        Hard budget on integrand evaluations; exhausting it is an error.
     initial_breakpoints : sequence of float, optional
         Extra panel boundaries in (0, inf), e.g. around known spikes.
 
@@ -165,8 +161,8 @@ def integrate_semi_infinite(
     Raises
     ------
     IntegrationError
-        On non-convergence within the budget (e.g. a non-integrable
-        endpoint singularity), with the partial result attached.
+        On non-convergence within 1e6 integrand evaluations (e.g. a
+        non-integrable endpoint singularity), with the partial result attached.
     """
     if not 1e-13 < rel_tol < 1e-2:
         raise ValueError(f"rel_tol must lie in (1e-13, 1e-2), got {rel_tol!r}")
@@ -228,9 +224,9 @@ def integrate_semi_infinite(
 
     value, err = totals()
     while err > max(rel_tol * abs(value), abs_tol):
-        if evals + 2 * _KRONROD_NODES.size > max_evals:
+        if evals + 2 * _KRONROD_NODES.size > _MAX_EVALS:
             raise IntegrationError(
-                f"evaluation budget of {max_evals} exhausted at error {err:.3e}",
+                f"evaluation budget of {_MAX_EVALS} exhausted at error {err:.3e}",
                 QuadratureResult(value, err, evals),
             )
         worst = heapq.heappop(panels)
@@ -286,43 +282,3 @@ def find_root(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
-
-
-def minimize_scalar(
-    g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"invalid interval [{lo!r}, {hi!r}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    g_c = float(g(c))
-    g_d = float(g(d))
-    while b - a > tol:
-        if g_c < g_d:
-            b, d, g_d = d, c, g_c
-            c = b - _INV_GOLDEN * (b - a)
-            g_c = float(g(c))
-        else:
-            a, c, g_c = c, d, g_d
-            d = a + _INV_GOLDEN * (b - a)
-            g_d = float(g(d))
-        if not (a < c < d < b):
-            break  # interval at floating-point resolution
-    return 0.5 * (a + b)
-
-
-def central_difference(g: Callable[[float], float], x: float, h: float) -> float:
-    """Symmetric two-point difference approximation of g'(x)."""
-    h = float(h)
-    if h <= 0.0 or not math.isfinite(h):
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-    return (float(g(x + h)) - float(g(x - h))) / (2.0 * h)

@@ -152,7 +152,6 @@ class ReferenceDensity:
     pdf: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[int, int], Sample]
 
 
 def maxwell_reference(sigma: float = 1.0) -> ReferenceDensity:
@@ -162,7 +161,6 @@ def maxwell_reference(sigma: float = 1.0) -> ReferenceDensity:
         pdf=lambda x: maxwell_pdf_derivs(params, x).f,
         d1=lambda x: maxwell_pdf_derivs(params, x).d1,
         d2=lambda x: maxwell_pdf_derivs(params, x).d2,
-        sampler=lambda n, seed: sample(params, n, seed),
     )
 
 
@@ -173,7 +171,6 @@ def chi_square_reference(m: int) -> ReferenceDensity:
         pdf=lambda x: chi_square_pdf_derivs(params, x).f,
         d1=lambda x: chi_square_pdf_derivs(params, x).d1,
         d2=lambda x: chi_square_pdf_derivs(params, x).d2,
-        sampler=lambda n, seed: sample(params, n, seed),
     )
 
 

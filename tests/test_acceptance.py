@@ -40,9 +40,11 @@ from gammakde.harness import (
     run_experiment,
 )
 from gammakde.kernels import kernel_value, kernel_x_derivative, shape_params
-from gammakde.numerics import integrate_semi_infinite, minimize_scalar
+from gammakde.numerics import integrate_semi_infinite
 from gammakde.refdens import MaxwellParams, ReferenceDensity, maxwell_reference
 from gammakde.specfun import digamma, log_gamma, stirling_ratio
+
+from oracles import minimize_scalar
 
 SEED = 20260815
 MAXWELL = MaxwellParams()
@@ -80,7 +82,6 @@ def test_criterion_02_boundary_coefficient_exactly_minus_one_twelfth():
         pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        sampler=None,
     )
     got = bias_boundary(unit_slope, 0.05, 2.0)
     ok = got == -1.0 / 12.0

@@ -32,11 +32,11 @@ from gammakde.numerics import (
     DegenerateIntegralError,
     IntegrationError,
     NoRootError,
-    minimize_scalar,
 )
 from gammakde.refdens import ReferenceDensity, chi_square_reference, maxwell_reference
 
 from conftest import rel_err
+from oracles import minimize_scalar, refined_scan
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -54,7 +54,6 @@ def synthetic_reference(pdf, d1, d2, label="synthetic"):
         pdf=pdf,
         d1=d1,
         d2=d2,
-        sampler=lambda n, seed: (_ for _ in ()).throw(RuntimeError("no sampler")),
     )
 
 
@@ -367,3 +366,91 @@ class TestMiseAndSelectors:
         assert rel_err(ints.curvature, 0.067707647504754606) < 1e-9
         assert rel_err(ints.mass, 0.29068415850955929) < 1e-9
         assert rel_err(global_bandwidth_plugin(wide, 2000), 0.2008828431752526) < 1e-9
+
+
+def _scan_cases():
+    """Hand-built integrals: curvature, mass > 0, correction of both signs."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        ints = MiseIntegrals(
+            curvature=10.0 ** rng.uniform(-3, 3),
+            mass=10.0 ** rng.uniform(-3, 3),
+            correction=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 3),
+        )
+        yield ints, int(round(10.0 ** rng.uniform(0, 6)))
+    for n in (1, 10**6):
+        for correction in (-0.86, 0.0, 0.86):
+            yield MiseIntegrals(2.17, 0.822, correction), n
+
+
+class TestRefinedSingleRoot:
+    """The binary search for the one sign change against a scan of all 200
+    brackets that bisects every sign change and keeps the lowest-MISE root."""
+
+    def test_matches_full_scan_bit_for_bit(self):
+        in_window = 0
+        for ints, n in _scan_cases():
+            try:
+                best, roots = refined_scan(ints, n)
+            except NoRootError as want:
+                with pytest.raises(NoRootError) as got:
+                    refined_bandwidth(EXP_REF, n, integrals=ints)
+                assert str(got.value) == str(want)
+                continue
+            in_window += 1
+            assert len(roots) == 1, (ints, n, roots)
+            r = refined_bandwidth(EXP_REF, n, integrals=ints)
+            assert r.b_refined == best, (ints, n)
+            assert r.roots == roots
+        assert in_window >= 300
+
+    @pytest.mark.parametrize(
+        "edge, ints",
+        [
+            (0, MiseIntegrals(2.0, 1.1666678483025674e-05, 0.7)),
+            (1, MiseIntegrals(2.0, 1.3883011304480299e-11, 0.0)),
+            (57, MiseIntegrals(2.0, 1.1547385836875555e-07, 0.0)),
+            (199, MiseIntegrals(2.0, 1005.735262309312, 0.0)),
+            (200, MiseIntegrals(2.0, 1181.6359006036773, 0.0)),
+        ],
+    )
+    def test_residual_zero_on_a_scan_edge(self, edge, ints):
+        # The mass is tuned so that the residual is exactly 0.0 on one edge,
+        # which both searches must return as the root.
+        edges = np.logspace(-4.0, 0.0, 201)
+        r = refined_bandwidth(EXP_REF, 1000, integrals=ints)
+        assert r.residual(edges[edge]) == 0.0
+        assert r.b_refined == edges[edge]
+        assert refined_scan(ints, 1000) == (r.b_refined, r.roots)
+
+    @pytest.mark.parametrize(
+        "ints, n, message",
+        [
+            (  # root below 1e-4
+                MiseIntegrals(1e3, 1e-6, 0.0),
+                10**6,
+                "stationarity residual has no sign change on (0.0001, 1): "
+                "endpoints 1.038429e-02 and 1.250000e+02",
+            ),
+            (  # root above 1
+                MiseIntegrals(1e-3, 1e3, 0.0),
+                1,
+                "stationarity residual has no sign change on (0.0001, 1): "
+                "endpoints -2.115711e+12 and -2.115710e+02",
+            ),
+            (
+                MiseIntegrals(1e-3, 1e3, 2.0),
+                1,
+                "stationarity residual has no sign change on (0.0001, 1): "
+                "endpoints -2.115711e+12 and -2.115004e+02",
+            ),
+        ],
+    )
+    def test_root_outside_window(self, ints, n, message):
+        for search in (
+            lambda: refined_bandwidth(EXP_REF, n, integrals=ints),
+            lambda: refined_scan(ints, n),
+        ):
+            with pytest.raises(NoRootError) as got:
+                search()
+            assert str(got.value) == message

@@ -322,3 +322,24 @@ class TestVerifyLemmas:
         data = json.loads((out / "moment_check.json").read_text())
         assert [row["x"] for row in data["rows"]] == [0.5, 1.0]
         assert "variance ratio" in capsys.readouterr().out
+
+    def test_output_dir_is_not_a_config_key(self, tmp_path, capsys):
+        # Unlike the other three configs, this one has no output_dir field:
+        # adding one would add it to the config echo in moment_check.json.
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": {"name": "maxwell", "sigma": 1.0},
+                "x_list": [0.5, 1.0],
+                "b": 0.1,
+                "n": 200,
+                "seed": 5,
+                "replications": 20,
+                "output_dir": str(tmp_path / "cfg_out"),
+            },
+        )
+        out = tmp_path / "mc"
+        assert main(["verify-lemmas", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: unknown config keys: ['output_dir']" in err
+        assert not out.exists() and not (tmp_path / "cfg_out").exists()

@@ -1,4 +1,4 @@
-"""End-to-end golden outputs: small configs of every sampling subcommand.
+"""End-to-end golden outputs: small configs of every subcommand.
 
 Each case runs `gammakde <command> --config ... --jobs 1` and must write the
 same files, byte for byte, as the copies under tests/data/golden/<case>/.
@@ -43,6 +43,25 @@ CASES = {
         "verify-lemmas",
         {"distribution": MAXWELL_1, "x_list": [0.5, 1.0, 2.0], "b": 0.05,
          "n": 20000, "seed": SEED, "replications": 3},
+    ),
+    # Bandwidths whose refined root lies near an edge of the (1e-4, 1) scan
+    # window: about 1.96e-4 for Maxwell sigma = 0.001 and 0.54 for chi-square
+    # m = 10 at n = 2000.
+    "bandwidths_maxwell_s0.001_n200": (
+        "bandwidths",
+        {"distribution": {"name": "maxwell", "sigma": 0.001}, "n": 200},
+    ),
+    "bandwidths_maxwell_s0.1_n2000": (
+        "bandwidths",
+        {"distribution": {"name": "maxwell", "sigma": 0.1}, "n": 2000},
+    ),
+    "bandwidths_chi2_m10_n2000": (
+        "bandwidths",
+        {"distribution": {"name": "chi_square", "m": 10}, "n": 2000},
+    ),
+    "bandwidths_chi2_m6_n200": (
+        "bandwidths",
+        {"distribution": {"name": "chi_square", "m": 6}, "n": 200},
     ),
 }
 

@@ -10,13 +10,12 @@ from gammakde.kernels import kernel_x_derivative
 from gammakde.numerics import (
     IntegrationError,
     NoRootError,
-    central_difference,
     find_root,
     integrate_semi_infinite,
-    minimize_scalar,
 )
 
 from conftest import rel_err
+from oracles import central_difference, minimize_scalar
 
 # integral of x^{-3/2} f_M(x) for Maxwell sigma=1; closed form
 # sqrt(2/pi) 2^{-1/4} Gamma(3/4), frozen from 40-digit arithmetic

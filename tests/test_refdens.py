@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gammakde.numerics import central_difference, integrate_semi_infinite
+from gammakde.numerics import integrate_semi_infinite
 from gammakde.refdens import (
     ChiSquareParams,
     MaxwellParams,
@@ -22,6 +22,7 @@ from gammakde.refdens import (
 )
 
 from conftest import rel_err
+from oracles import central_difference
 
 # Maxwell sigma=1 at x in {0.5, 1, 2}: (f, f', f''), 40-digit frozen
 MAXWELL_TABLE = {
