@@ -37,18 +37,14 @@ from .asymptotics import (
     pointwise_optimal,
     refined_bandwidth,
     squared_kernel_constant,
-    squared_kernel_constant_stirling,
     variance_leading,
 )
 from .estimator import (
     GridEvaluation,
     Sample,
-    SampleMeta,
     density_at,
     derivative_at,
     evaluate_on_grid,
-    load_grid_csv,
-    save_grid_csv,
 )
 from .harness import (
     BandwidthSelectionError,
@@ -67,7 +63,7 @@ from .harness import (
     run_experiment,
     write_report,
 )
-from .kernels import Branch, KernelShape, kernel_value, kernel_x_derivative, shape_params
+from .kernels import kernel_value, kernel_x_derivative
 from .numerics import (
     DegenerateIntegralError,
     IntegrationError,
@@ -84,13 +80,10 @@ from .refdens import (
     chi_square_pdf_derivs,
     chi_square_reference,
     derived_seed,
-    load_sample,
-    maxwell_cdf,
     maxwell_pdf_derivs,
     maxwell_reference,
     reference_for,
     sample,
-    save_sample,
 )
 from .specfun import digamma, log_gamma, stirling_ratio
 
@@ -101,7 +94,6 @@ __all__ = [
     "BandwidthReport",
     "BandwidthSelectionError",
     "BandwidthsConfig",
-    "Branch",
     "ChiSquareParams",
     "ConfigError",
     "ConvergenceConfig",
@@ -113,7 +105,6 @@ __all__ = [
     "GridEvaluation",
     "GridSpec",
     "IntegrationError",
-    "KernelShape",
     "MaxwellParams",
     "MiseIntegrals",
     "MomentCheckConfig",
@@ -125,7 +116,6 @@ __all__ = [
     "ReferenceDensity",
     "RefinedBandwidth",
     "Sample",
-    "SampleMeta",
     "asymptotic_moment_check",
     "bandwidth_report",
     "bias_boundary",
@@ -146,10 +136,7 @@ __all__ = [
     "integrate_semi_infinite",
     "kernel_value",
     "kernel_x_derivative",
-    "load_grid_csv",
-    "load_sample",
     "log_gamma",
-    "maxwell_cdf",
     "maxwell_pdf_derivs",
     "maxwell_reference",
     "mise_integrals",
@@ -160,11 +147,7 @@ __all__ = [
     "refined_bandwidth",
     "run_experiment",
     "sample",
-    "save_grid_csv",
-    "save_sample",
-    "shape_params",
     "squared_kernel_constant",
-    "squared_kernel_constant_stirling",
     "stirling_ratio",
     "variance_leading",
     "write_report",

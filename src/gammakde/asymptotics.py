@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numerics
 from .refdens import ReferenceDensity
-from .specfun import log_gamma, stirling_ratio
+from .specfun import log_gamma
 
 __all__ = [
     "curvature_term",
@@ -35,7 +35,6 @@ __all__ = [
     "bias_boundary",
     "variance_leading",
     "squared_kernel_constant",
-    "squared_kernel_constant_stirling",
     "mse_leading",
     "PointwiseBandwidth",
     "pointwise_optimal",
@@ -173,26 +172,6 @@ def squared_kernel_constant(x: float, b: float) -> float:
     return math.exp(log_value)
 
 
-def squared_kernel_constant_stirling(x: float, b: float) -> float:
-    """B(x, b) through Stirling ratios; an independent route for checking.
-
-    B(x, b) = b^{-5/2} x^{-1/2} R(x/b)^2
-              / (sqrt(pi) R(2 x / b) (1 - b / (2 x)))
-
-    with R the stirling_ratio. The ratio factors tend to 1 as x/b grows, so
-    B approaches b^{-5/2} x^{-1/2} / sqrt(pi); the variance-facing quantity
-    B / 2 approaches b^{-5/2} x^{-1/2} / (2 sqrt(pi)), the constant seen in
-    variance_leading.
-    """
-    b = _check_bandwidth(b)
-    x = float(x)
-    if not (math.isfinite(x) and x > b / 2.0):
-        raise ValueError(f"squared kernel constant requires x > b / 2, got {x!r}")
-    rho = x / b
-    ratio = stirling_ratio(rho) ** 2 / stirling_ratio(2.0 * rho)
-    return ratio / (_SQRT_PI * b ** 2.5 * math.sqrt(x) * (1.0 - b / (2.0 * x)))
-
-
 def mse_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float:
     """Pointwise leading MSE: (b^2 / 16) curvature + leading variance."""
     return (b * b / 16.0) * float(curvature_term(ref, x)) + variance_leading(
@@ -265,6 +244,22 @@ def mise_integrals(ref: ReferenceDensity) -> MiseIntegrals:
     return MiseIntegrals(curvature=curvature, mass=mass, correction=correction)
 
 
+def _rule_integrals(
+    ref: ReferenceDensity, integrals: MiseIntegrals | None, rule: str
+) -> MiseIntegrals:
+    """The caller's integrals or mise_integrals(ref), with the signs the rules assume."""
+    ints = integrals if integrals is not None else mise_integrals(ref)
+    if ints.curvature <= 0.0:
+        raise numerics.DegenerateIntegralError(
+            f"degenerate curvature integral; no {rule} bandwidth"
+        )
+    if ints.mass < 0.0:
+        raise numerics.DegenerateIntegralError(
+            f"negative mass integral {ints.mass!r}; no {rule} bandwidth"
+        )
+    return ints
+
+
 def mise_leading(
     ref: ReferenceDensity,
     b: float,
@@ -295,13 +290,11 @@ def global_bandwidth_plugin(
     """Closed-form minimizer of the two leading MISE terms.
 
     b0 = (3 mass / (sqrt(pi) curvature))^{2/7} n^{-2/7}
+
+    Integrals with curvature <= 0 or mass < 0 raise DegenerateIntegralError.
     """
     n = _check_n(n)
-    ints = integrals if integrals is not None else mise_integrals(ref)
-    if ints.curvature <= 0.0:
-        raise numerics.DegenerateIntegralError(
-            "degenerate curvature integral; no plug-in bandwidth"
-        )
+    ints = _rule_integrals(ref, integrals, "plug-in")
     ratio = 3.0 * ints.mass / (_SQRT_PI * ints.curvature)
     return ratio ** (2.0 / 7.0) * n ** (-2.0 / 7.0)
 
@@ -342,21 +335,16 @@ def refined_bandwidth(
         c1 = curvature / 8,  c2 = 3 mass / (8 sqrt(pi) n),
         c3 = correction / (16 sqrt(pi) n).
 
-    Times b^{5/2} it is g(b) = c1 b^{7/2} + c3 b - c2. Here c1 > 0 (checked
-    below) and c2 >= 0, since mise_integrals sums a nonnegative integrand
-    with positive Kronrod weights. So g is strictly convex with g(0) <= 0,
+    Times b^{5/2} it is g(b) = c1 b^{7/2} + c3 b - c2. Here c1 > 0 and
+    c2 >= 0 (both checked below). So g is strictly convex with g(0) <= 0,
     and the residual changes sign at most once, from negative to positive.
     A binary search over 201 log-spaced edges of (1e-4, 1) finds the bracket
     of that sign change, and bisection the root; a root outside the window
-    raises NoRootError. Without a positive curvature integral the residual
-    has no meaningful root, and DegenerateIntegralError is raised.
+    raises NoRootError. Integrals with curvature <= 0 or mass < 0 give no
+    meaningful root and raise DegenerateIntegralError.
     """
     n = _check_n(n)
-    ints = integrals if integrals is not None else mise_integrals(ref)
-    if ints.curvature <= 0.0:
-        raise numerics.DegenerateIntegralError(
-            "degenerate curvature integral; no refined bandwidth"
-        )
+    ints = _rule_integrals(ref, integrals, "refined")
     coef_b, coef_bm52, coef_bm32 = _residual_coefficients(ints, n)
 
     def residual(b: float) -> float:

@@ -20,26 +20,21 @@ never split, so above 2^17 observations a block is one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .kernels import KernelPlan
 
 __all__ = [
-    "SampleMeta",
     "Sample",
     "GridEvaluation",
     "density_at",
     "derivative_at",
     "evaluate_on_grid",
-    "save_grid_csv",
-    "load_grid_csv",
 ]
 
-_FLOAT_FMT = ".12g"
 # Kernel entries per block: 1 MiB of doubles, small enough for the block's
 # passes to run from a 2 MiB L2 and large enough that the per-block Python
 # overhead stays small next to the exp.
@@ -49,23 +44,14 @@ _PLAN_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
-class SampleMeta:
-    """Provenance of a sample: the seed it was drawn with and a source label."""
-
-    seed: int
-    source: str
-
-
-@dataclass(frozen=True)
 class Sample:
     """An observed sample of nonnegative reals.
 
     Order is irrelevant to every estimate; it is kept only because it makes
-    runs reproducible and files diffable.
+    runs reproducible.
     """
 
     values: np.ndarray
-    meta: SampleMeta | None = field(default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -180,34 +166,4 @@ def evaluate_on_grid(sample: Sample, b: float, grid) -> GridEvaluation:
     density, derivative = _core(sample, grid, b)
     return GridEvaluation(
         grid=grid, density=density, derivative=derivative, bandwidth=float(b)
-    )
-
-
-def save_grid_csv(evaluation: GridEvaluation, path: str | Path) -> None:
-    """Write a grid evaluation as CSV with columns x,density,derivative."""
-    lines = ["x,density,derivative"]
-    for x, f, d in zip(evaluation.grid, evaluation.density, evaluation.derivative):
-        lines.append(
-            f"{x:{_FLOAT_FMT}},{f:{_FLOAT_FMT}},{d:{_FLOAT_FMT}}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def load_grid_csv(path: str | Path, bandwidth: float) -> GridEvaluation:
-    """Read a grid evaluation written by save_grid_csv.
-
-    The bandwidth is not part of the CSV contract and must be supplied.
-    """
-    text = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if not text or text[0].strip() != "x,density,derivative":
-        raise ValueError(f"{path}: expected header 'x,density,derivative'")
-    rows = [line.split(",") for line in text[1:]]
-    if any(len(row) != 3 for row in rows):
-        raise ValueError(f"{path}: malformed row")
-    data = np.array([[float(c) for c in row] for row in rows])
-    return GridEvaluation(
-        grid=data[:, 0],
-        density=data[:, 1],
-        derivative=data[:, 2],
-        bandwidth=bandwidth,
     )

@@ -30,7 +30,7 @@ import numpy as np
 from . import asymptotics, numerics
 from .asymptotics import BandwidthConstants
 from .estimator import evaluate_on_grid
-from .ioutil import write_json
+from .ioutil import write_csv, write_json
 from .refdens import (
     ChiSquareParams,
     MaxwellParams,
@@ -486,10 +486,8 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     ref = reference_for(report.config.distribution)
     for label, ev in report.curves.items():
         truth = np.asarray(ref.d1(ev.grid), dtype=float)
-        lines = ["x,true_derivative,estimate"]
-        for x, t, e in zip(ev.grid, truth, ev.derivative):
-            lines.append(f"{x:.12g},{t:.12g},{e:.12g}")
-        (out / f"curve_{label}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        columns = {"x": ev.grid, "true_derivative": truth, "estimate": ev.derivative}
+        write_csv(columns, out / f"curve_{label}.csv")
     write_json(report_dict(report), out / "report.json")
     return out
 

@@ -13,44 +13,21 @@ far tails underflow cleanly to exactly 0.0 instead of raising.
 
 KernelPlan resolves the per-point constants (shape, log-normaliser,
 digamma of the shape, derivative prefactor) for a whole array of points at
-once and writes the kernel matrix in place; the one-point functions below
-are thin wrappers over a one-point plan, so each formula is written once.
+once and writes the kernel matrix in place, so each formula is written
+once. kernel_value(x, b, t) and kernel_x_derivative(x, b, t) evaluate the
+kernel of one point and its x-derivative through a one-point plan; they
+are the per-observation oracles the estimator is checked against.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import digamma_array, log_gamma_array
 
-__all__ = [
-    "Branch",
-    "KernelShape",
-    "KernelPlan",
-    "shape_params",
-    "kernel_value",
-    "log_factor",
-    "kernel_x_derivative",
-]
-
-
-class Branch(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class KernelShape:
-    """Resolved kernel parameters for one evaluation point."""
-
-    x: float
-    b: float
-    rho: float
-    branch: Branch
+__all__ = ["KernelPlan", "kernel_value", "kernel_x_derivative"]
 
 
 class KernelPlan:
@@ -98,19 +75,15 @@ class KernelPlan:
         return np.exp(out, out=out)
 
 
-def shape_params(x: float, b: float) -> KernelShape:
-    """Resolve the shape parameter and branch for evaluation point x."""
+def _one_point(x: float, b: float, t) -> tuple[KernelPlan, np.ndarray, np.ndarray]:
+    """The plan of point x at bandwidth b, t as a checked array, and the mask t > 0."""
     plan = KernelPlan([x], b)
-    branch = Branch.INTERIOR if plan.interior[0] else Branch.BOUNDARY
-    return KernelShape(x=float(plan.xs[0]), b=plan.b, rho=float(plan.rho[0]), branch=branch)
-
-
-def _as_checked_array(t, name: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr, scalar
+        raise ValueError("t must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("kernel argument t must be >= 0")
+    return plan, arr, arr > 0.0
 
 
 def _kernel(plan: KernelPlan, tp: np.ndarray) -> np.ndarray:
@@ -119,46 +92,18 @@ def _kernel(plan: KernelPlan, tp: np.ndarray) -> np.ndarray:
     return plan.fill_kernel(slice(0, 1), np.log(tp), tp / plan.b, out)[0]
 
 
-def _log_factor(plan: KernelPlan, tp: np.ndarray) -> np.ndarray:
-    """ln(t / b) - digamma(rho) of a one-point plan at observations tp > 0."""
-    return np.log(tp / plan.b) - plan.psi[0]
+def kernel_value(x: float, b: float, t) -> float | np.ndarray:
+    """Gamma kernel of evaluation point x and bandwidth b at t >= 0 (scalar or ndarray).
 
-
-def kernel_value(shape: KernelShape, t) -> float | np.ndarray:
-    """Gamma kernel density at observation t (scalar or ndarray), t >= 0.
-
-    `shape` is the resolution of shape_params(x, b). The t = 0 limit is 0
-    for rho > 1 and 1/b for rho = 1 (the x = 0 kernel, which is the
-    exponential density).
+    The t = 0 limit is 0 for rho > 1 and 1/b for rho = 1 (the x = 0
+    kernel, which is the exponential density).
     """
-    arr, scalar = _as_checked_array(t, "t")
-    if np.any(arr < 0.0):
-        raise ValueError("kernel argument t must be >= 0")
-    plan = KernelPlan([shape.x], shape.b)
+    plan, arr, pos = _one_point(x, b, t)
     out = np.zeros_like(arr)
-    pos = arr > 0.0
     out[pos] = _kernel(plan, arr[pos])
     if plan.rho[0] == 1.0:
         out[~pos] = 1.0 / plan.b
-    if scalar:
-        return float(out)
-    return out
-
-
-def log_factor(shape: KernelShape, t) -> float | np.ndarray:
-    """Logarithmic factor ln t - ln b - digamma(rho) for t > 0.
-
-    This is the derivative of the log-kernel with respect to the shape
-    parameter; the bias and variance expansions are phrased through its
-    moments under the kernel.
-    """
-    arr, scalar = _as_checked_array(t, "t")
-    if np.any(arr <= 0.0):
-        raise ValueError("log_factor requires t > 0")
-    out = _log_factor(KernelPlan([shape.x], shape.b), arr)
-    if scalar:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def kernel_x_derivative(x: float, b: float, t) -> float | np.ndarray:
@@ -166,22 +111,17 @@ def kernel_x_derivative(x: float, b: float, t) -> float | np.ndarray:
 
     Differentiating through the shape rule gives
 
-        interior:  (1 / b)         * K(t) * log_factor(t)
-        boundary:  (x / (2 b^2))   * K(t) * log_factor(t)
+        interior:  (1 / b)         * K(t) * L(t)
+        boundary:  (x / (2 b^2))   * K(t) * L(t)
 
-    with the branch prefactors agreeing at x = 2 b. The t = 0 limit is 0 on
-    both branches.
+    with the log factor L(t) = ln(t / b) - digamma(rho), the derivative of
+    the log-kernel in the shape, and the branch prefactors agreeing at
+    x = 2 b. The t = 0 limit is 0 on both branches.
     """
-    plan = KernelPlan([x], b)
-    arr, scalar = _as_checked_array(t, "t")
-    if np.any(arr < 0.0):
-        raise ValueError("kernel argument t must be >= 0")
+    plan, arr, pos = _one_point(x, b, t)
     prefactor = plan.prefactor[0]
     out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if prefactor != 0.0 and np.any(pos):
+    if prefactor != 0.0:
         tp = arr[pos]
-        out[pos] = prefactor * _kernel(plan, tp) * _log_factor(plan, tp)
-    if scalar:
-        return float(out)
-    return out
+        out[pos] = prefactor * _kernel(plan, tp) * (np.log(tp / plan.b) - plan.psi[0])
+    return float(out) if arr.ndim == 0 else out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +78,7 @@ _GAUSS_WEIGHTS = np.array(
     ]
 )
 
+_BREAKPOINTS = (0.0, 0.5, 1.0)  # initial panels of the unit interval
 _TAIL_CUTOFF = 1e-14  # panel mass below this fraction of the total ends the tail
 _MAX_TAIL_DOUBLINGS = 64
 _MAX_EVALS = 1_000_000  # integrand evaluations per integral
@@ -136,7 +137,6 @@ def integrate_semi_infinite(
     rel_tol: float = 1e-10,
     *,
     abs_tol: float = 0.0,
-    initial_breakpoints: Sequence[float] | None = None,
 ) -> QuadratureResult:
     """Integrate a vectorized g over (0, infinity).
 
@@ -149,8 +149,6 @@ def integrate_semi_infinite(
     abs_tol : float
         Optional absolute accuracy floor; needed when the integral itself is
         (near) zero and a purely relative target can never be met.
-    initial_breakpoints : sequence of float, optional
-        Extra panel boundaries in (0, inf), e.g. around known spikes.
 
     Returns
     -------
@@ -169,13 +167,6 @@ def integrate_semi_infinite(
     if abs_tol < 0.0 or not math.isfinite(abs_tol):
         raise ValueError(f"abs_tol must be finite and >= 0, got {abs_tol!r}")
 
-    breakpoints = [0.0, 0.5, 1.0]
-    if initial_breakpoints is not None:
-        extra = [float(p) for p in initial_breakpoints]
-        if any(not math.isfinite(p) or p <= 0.0 for p in extra):
-            raise ValueError("initial_breakpoints must be finite and > 0")
-        breakpoints = sorted(set(breakpoints) | set(extra))
-
     evals = 0
     # Each heap entry is (-error, a, b, value); heapq pops the worst panel.
     panels: list[tuple[float, float, float, float]] = []
@@ -186,11 +177,11 @@ def integrate_semi_infinite(
         evals += _KRONROD_NODES.size
         heapq.heappush(panels, (-err, a, b, value))
 
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+    for lo, hi in zip(_BREAKPOINTS[:-1], _BREAKPOINTS[1:]):
         push(lo, hi)
 
     # Extend dyadic tail panels until two in a row are negligible.
-    tail_lo = breakpoints[-1]
+    tail_lo = _BREAKPOINTS[-1]
     quiet = 0
     doublings = 0
     while quiet < 2:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .estimator import Sample, SampleMeta
+from .estimator import Sample
 
 __all__ = [
     "MaxwellParams",
@@ -29,15 +28,12 @@ __all__ = [
     "PdfDerivs",
     "ReferenceDensity",
     "maxwell_pdf_derivs",
-    "maxwell_cdf",
     "chi_square_pdf_derivs",
     "maxwell_reference",
     "chi_square_reference",
     "reference_for",
     "sample",
     "derived_seed",
-    "save_sample",
-    "load_sample",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -107,19 +103,6 @@ def maxwell_pdf_derivs(params: MaxwellParams, x) -> PdfDerivs:
     if scalar:
         return PdfDerivs(float(f), float(d1), float(d2))
     return PdfDerivs(f, d1, d2)
-
-
-def maxwell_cdf(params: MaxwellParams, x) -> float | np.ndarray:
-    """Maxwell distribution function, via the error function."""
-    arr, scalar = _as_float_array(x)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("maxwell_cdf requires finite x >= 0")
-    z = arr / params.sigma
-    erf_vec = np.vectorize(math.erf, otypes=[float])
-    out = erf_vec(z / math.sqrt(2.0)) - _SQRT_2_OVER_PI * z * np.exp(-z * z / 2.0)
-    if scalar:
-        return float(out)
-    return out
 
 
 def chi_square_pdf_derivs(params: ChiSquareParams, x) -> PdfDerivs:
@@ -220,30 +203,4 @@ def sample(params: MaxwellParams | ChiSquareParams, n: int, seed: int) -> Sample
         values = g.sum(axis=1)
     else:
         raise TypeError(f"unsupported distribution parameters: {params!r}")
-    return Sample(values=values, meta=SampleMeta(seed=int(seed), source=params.label))
-
-
-def save_sample(s: Sample, path: str | Path) -> None:
-    """Write a sample as one value per line, preceded by a provenance header."""
-    meta = s.meta
-    if meta is None:
-        raise ValueError("cannot save a sample without provenance metadata")
-    lines = [f"# dist={meta.source} n={s.n} seed={meta.seed}"]
-    lines.extend(format(v, ".17g") for v in s.values)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def load_sample(path: str | Path) -> Sample:
-    """Read a sample written by save_sample."""
-    lines = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if not lines or not lines[0].startswith("# dist="):
-        raise ValueError(f"{path}: missing provenance header")
-    header = lines[0][2:]
-    fields = dict(part.split("=", 1) for part in header.split())
-    values = np.array([float(line) for line in lines[1:]])
-    if values.size != int(fields["n"]):
-        raise ValueError(f"{path}: header n={fields['n']} but {values.size} values")
-    return Sample(
-        values=values,
-        meta=SampleMeta(seed=int(fields["seed"]), source=fields["dist"]),
-    )
+    return Sample(values=values)

@@ -2,8 +2,11 @@
 
 None of these runs in the package itself: they are the golden-section
 minimizer and central difference that the asymptotic and kernel tests use
-as numeric oracles, and the refined selector's former 200-bracket root scan,
-kept to prove that the single-root search returns the same bits.
+as numeric oracles; the refined selector's former 200-bracket root scan,
+kept to prove that the single-root search returns the same bits; the
+Maxwell distribution function, against which the sampler is tested; and
+the squared-kernel constant through Stirling ratios, a second route to
+asymptotics.squared_kernel_constant.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ import numpy as np
 
 from gammakde.asymptotics import MiseIntegrals, mise_leading
 from gammakde.numerics import NoRootError, find_root
+from gammakde.refdens import MaxwellParams
+from gammakde.specfun import stirling_ratio
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def minimize_scalar(
@@ -90,3 +96,38 @@ def refined_scan(ints: MiseIntegrals, n: int) -> tuple[float, tuple[float, ...]]
         )
     best = min(roots, key=lambda r: mise_leading(None, r, n, integrals=ints))
     return best, tuple(roots)
+
+
+def maxwell_cdf(params: MaxwellParams, x) -> float | np.ndarray:
+    """Maxwell distribution function, via the error function."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        raise ValueError("maxwell_cdf requires finite x >= 0")
+    z = arr / params.sigma
+    erf_vec = np.vectorize(math.erf, otypes=[float])
+    out = erf_vec(z / math.sqrt(2.0)) - _SQRT_2_OVER_PI * z * np.exp(-z * z / 2.0)
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def squared_kernel_constant_stirling(x: float, b: float) -> float:
+    """B(x, b) through Stirling ratios; an independent route for checking.
+
+    B(x, b) = b^{-5/2} x^{-1/2} R(x/b)^2
+              / (sqrt(pi) R(2 x / b) (1 - b / (2 x)))
+
+    with R the stirling_ratio. The ratio factors tend to 1 as x/b grows, so
+    B approaches b^{-5/2} x^{-1/2} / sqrt(pi); the variance-facing quantity
+    B / 2 approaches b^{-5/2} x^{-1/2} / (2 sqrt(pi)), the constant seen in
+    variance_leading.
+    """
+    b = float(b)
+    x = float(x)
+    if not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {b!r}")
+    if not (math.isfinite(x) and x > b / 2.0):
+        raise ValueError(f"squared kernel constant requires x > b / 2, got {x!r}")
+    rho = x / b
+    ratio = stirling_ratio(rho) ** 2 / stirling_ratio(2.0 * rho)
+    return ratio / (_SQRT_PI * b ** 2.5 * math.sqrt(x) * (1.0 - b / (2.0 * x)))

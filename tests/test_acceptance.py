@@ -39,7 +39,7 @@ from gammakde.harness import (
     convergence_study,
     run_experiment,
 )
-from gammakde.kernels import kernel_value, kernel_x_derivative, shape_params
+from gammakde.kernels import kernel_value, kernel_x_derivative
 from gammakde.numerics import integrate_semi_infinite
 from gammakde.refdens import MaxwellParams, ReferenceDensity, maxwell_reference
 from gammakde.specfun import digamma, log_gamma, stirling_ratio
@@ -154,26 +154,22 @@ def test_criterion_06_kernel_invariants():
     worst = {"mass": 0.0, "deriv_mass": 0.0, "fd": 0.0, "continuity": 0.0}
     for x in xs:
         for b in bs:
-            shape = shape_params(x, b)
-            mass = integrate_semi_infinite(lambda t: kernel_value(shape, t), 1e-10)
+            mass = integrate_semi_infinite(lambda t: kernel_value(x, b, t), 1e-10)
             worst["mass"] = max(worst["mass"], abs(mass.value - 1.0))
             dmass = integrate_semi_infinite(
                 lambda t: kernel_x_derivative(x, b, t), 1e-10, abs_tol=1e-8
             )
             worst["deriv_mass"] = max(worst["deriv_mass"], abs(dmass.value))
             for t in (0.5 * x, x, 1.5 * x + b):
-                fd = (
-                    kernel_value(shape_params(x + h, b), t)
-                    - kernel_value(shape_params(x - h, b), t)
-                ) / (2.0 * h)
+                fd = (kernel_value(x + h, b, t) - kernel_value(x - h, b, t)) / (2.0 * h)
                 if abs(fd) > 1e-8:
                     rel = abs(kernel_x_derivative(x, b, t) - fd) / abs(fd)
                     worst["fd"] = max(worst["fd"], rel)
     for b in bs:
         eps = 2.0 * b * 1e-8
-        lo, hi = shape_params(2.0 * b - eps, b), shape_params(2.0 * b + eps, b)
+        lo, hi = 2.0 * b - eps, 2.0 * b + eps
         for t in (0.5 * b, 2.0 * b, 5.0 * b):
-            v_lo, v_hi = kernel_value(lo, t), kernel_value(hi, t)
+            v_lo, v_hi = kernel_value(lo, b, t), kernel_value(hi, b, t)
             scale = max(abs(v_lo), abs(v_hi), 1e-12)
             worst["continuity"] = max(worst["continuity"], abs(v_hi - v_lo) / scale)
     ok = (

@@ -25,7 +25,6 @@ from gammakde.asymptotics import (
     pointwise_optimal,
     refined_bandwidth,
     squared_kernel_constant,
-    squared_kernel_constant_stirling,
     variance_leading,
 )
 from gammakde.numerics import (
@@ -36,7 +35,7 @@ from gammakde.numerics import (
 from gammakde.refdens import ReferenceDensity, chi_square_reference, maxwell_reference
 
 from conftest import rel_err
-from oracles import minimize_scalar, refined_scan
+from oracles import minimize_scalar, refined_scan, squared_kernel_constant_stirling
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -180,12 +179,11 @@ class TestSquaredKernelConstant:
 
     def test_quadrature_route(self):
         # (2 / b^2) * integral of the squared interior kernel
-        from gammakde.kernels import kernel_value, shape_params
+        from gammakde.kernels import kernel_value
         from gammakde.numerics import integrate_semi_infinite
 
         x, b = 1.0, 0.1
-        shape = shape_params(x, b)
-        r = integrate_semi_infinite(lambda t: kernel_value(shape, t) ** 2, 1e-11)
+        r = integrate_semi_infinite(lambda t: kernel_value(x, b, t) ** 2, 1e-11)
         assert rel_err(2.0 * r.value / (b * b), 185.4705810546875) < 1e-9
 
     def test_scale_free_identity(self):
@@ -323,6 +321,18 @@ class TestMiseAndSelectors:
         for ints in (MiseIntegrals(0.0, 0.0, 0.0), MiseIntegrals(-1.0, 1.0, 1.0)):
             with pytest.raises(DegenerateIntegralError):
                 refined_bandwidth(maxwell, 100, integrals=ints)
+
+    def test_negative_mass_is_degenerate(self):
+        # A caller's integrals with mass < 0 once gave a complex plug-in
+        # bandwidth and a NoRootError from the refined rule.
+        ints = MiseIntegrals(1.0, -1.0, 0.0)
+        with pytest.raises(DegenerateIntegralError, match="negative mass.*plug-in"):
+            global_bandwidth_plugin(None, 100, integrals=ints)
+        with pytest.raises(DegenerateIntegralError, match="negative mass.*refined"):
+            refined_bandwidth(None, 100, integrals=ints)
+        # the curvature check runs first
+        with pytest.raises(DegenerateIntegralError, match="curvature"):
+            global_bandwidth_plugin(None, 100, integrals=MiseIntegrals(0.0, -1.0, 0.0))
 
     def test_refined_narrow_maxwell_is_degenerate(self):
         with pytest.raises(DegenerateIntegralError, match="refined"):

@@ -1,4 +1,4 @@
-"""Reference densities, analytic derivatives, exact samplers, sample IO."""
+"""Reference densities, analytic derivatives, exact samplers."""
 
 import math
 
@@ -12,17 +12,14 @@ from gammakde.refdens import (
     chi_square_pdf_derivs,
     chi_square_reference,
     derived_seed,
-    load_sample,
-    maxwell_cdf,
     maxwell_pdf_derivs,
     maxwell_reference,
     reference_for,
     sample,
-    save_sample,
 )
 
 from conftest import rel_err
-from oracles import central_difference
+from oracles import central_difference, maxwell_cdf
 
 # Maxwell sigma=1 at x in {0.5, 1, 2}: (f, f', f''), 40-digit frozen
 MAXWELL_TABLE = {
@@ -207,14 +204,3 @@ def test_derived_seed_coordinates():
     assert derived_seed(123, 0, 1) != derived_seed(123, 1, 0)
     with pytest.raises(ValueError):
         derived_seed(123)
-
-
-def test_sample_io_round_trip(tmp_path):
-    s = sample(MaxwellParams(), 50, 99)
-    path = tmp_path / "sample.txt"
-    save_sample(s, path)
-    text = path.read_text()
-    assert text.startswith("# dist=maxwell(sigma=1) n=50 seed=99\n")
-    back = load_sample(path)
-    assert np.array_equal(back.values, s.values)
-    assert back.meta.seed == 99
