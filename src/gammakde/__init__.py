@@ -47,7 +47,6 @@ from .estimator import (
     evaluate_on_grid,
 )
 from .harness import (
-    BandwidthSelectionError,
     BandwidthsConfig,
     ConfigError,
     ConvergenceConfig,
@@ -92,7 +91,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthConstants",
     "BandwidthReport",
-    "BandwidthSelectionError",
     "BandwidthsConfig",
     "ChiSquareParams",
     "ConfigError",

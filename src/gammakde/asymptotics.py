@@ -245,17 +245,17 @@ def mise_integrals(ref: ReferenceDensity) -> MiseIntegrals:
 
 
 def _rule_integrals(
-    ref: ReferenceDensity, integrals: MiseIntegrals | None, rule: str
+    ref: ReferenceDensity, integrals: MiseIntegrals | None, what: str
 ) -> MiseIntegrals:
     """The caller's integrals or mise_integrals(ref), with the signs the rules assume."""
     ints = integrals if integrals is not None else mise_integrals(ref)
     if ints.curvature <= 0.0:
         raise numerics.DegenerateIntegralError(
-            f"degenerate curvature integral; no {rule} bandwidth"
+            f"degenerate curvature integral; no {what}"
         )
     if ints.mass < 0.0:
         raise numerics.DegenerateIntegralError(
-            f"negative mass integral {ints.mass!r}; no {rule} bandwidth"
+            f"negative mass integral {ints.mass!r}; no {what}"
         )
     return ints
 
@@ -271,10 +271,12 @@ def mise_leading(
 
     mise = (b^2 / 16) * curvature
            + (b^{-3/2} / (4 sqrt(pi) n)) * (mass + (b/2) * correction)
+
+    Integrals with curvature <= 0 or mass < 0 raise DegenerateIntegralError.
     """
     b = _check_bandwidth(b)
     n = _check_n(n)
-    ints = integrals if integrals is not None else mise_integrals(ref)
+    ints = _rule_integrals(ref, integrals, "leading MISE")
     variance_part = ints.mass + 0.5 * b * ints.correction
     return (b * b / 16.0) * ints.curvature + variance_part / (
         4.0 * _SQRT_PI * n * b ** 1.5
@@ -291,11 +293,15 @@ def global_bandwidth_plugin(
 
     b0 = (3 mass / (sqrt(pi) curvature))^{2/7} n^{-2/7}
 
-    Integrals with curvature <= 0 or mass < 0 raise DegenerateIntegralError.
+    Integrals with curvature <= 0 or mass <= 0 raise DegenerateIntegralError.
     """
     n = _check_n(n)
-    ints = _rule_integrals(ref, integrals, "plug-in")
+    ints = _rule_integrals(ref, integrals, "plug-in bandwidth")
     ratio = 3.0 * ints.mass / (_SQRT_PI * ints.curvature)
+    if ratio == 0.0:
+        raise numerics.DegenerateIntegralError(
+            f"mass integral {ints.mass!r} gives a zero plug-in bandwidth"
+        )
     return ratio ** (2.0 / 7.0) * n ** (-2.0 / 7.0)
 
 
@@ -344,7 +350,7 @@ def refined_bandwidth(
     meaningful root and raise DegenerateIntegralError.
     """
     n = _check_n(n)
-    ints = _rule_integrals(ref, integrals, "refined")
+    ints = _rule_integrals(ref, integrals, "refined bandwidth")
     coef_b, coef_bm52, coef_bm32 = _residual_coefficients(ints, n)
 
     def residual(b: float) -> float:

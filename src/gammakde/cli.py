@@ -14,6 +14,9 @@ output_dir), --jobs (worker processes). Every subcommand but bandwidths,
 which draws no sample, takes --seed (override); bandwidths accepts --jobs
 for a uniform command line but runs in one process.
 
+The studies in `harness` compute and return their results; this module
+writes every output file.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 partial results (some bandwidth rules failed; everything else written).
 """
@@ -29,7 +32,6 @@ from pathlib import Path
 
 from . import asymptotics, harness, numerics
 from .harness import (
-    BandwidthSelectionError,
     BandwidthsConfig,
     ConfigError,
     ConvergenceConfig,
@@ -78,6 +80,13 @@ def _resolve_out(args, cfg_output_dir: str | None) -> Path:
     return Path(_DEFAULT_OUT)
 
 
+def _save_json(obj: dict, out: Path, name: str) -> None:
+    """Write obj as `name` into the directory `out` and say where it went."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(obj, out / name)
+    print(f"report written to {out / name}")
+
+
 def _print_experiment_summary(report: harness.ExperimentReport) -> None:
     cfg = report.config
     print(f"[{cfg.distribution.label} n={cfg.n} replications={cfg.replications}]")
@@ -113,14 +122,15 @@ def _cmd_reproduce(args) -> int:
 
 
 def _run_one_experiment(cfg: ExperimentConfig, out: Path, jobs: int) -> bool:
-    """Run one experiment into `out`; returns True when partial."""
-    try:
-        report = harness.run_experiment(cfg, jobs=jobs, output_dir=out)
-    except BandwidthSelectionError as exc:
-        _print_experiment_summary(exc.report)
-        print(f"partial results written to {out}: {exc}", file=sys.stderr)
-        return True
+    """Run one experiment and write it into `out`; returns True when partial."""
+    report = harness.run_experiment(cfg, jobs=jobs)
+    harness.write_report(report, out)
     _print_experiment_summary(report)
+    if report.bandwidth_errors:
+        modes = ", ".join(sorted(report.bandwidth_errors))
+        failed = f"bandwidth selection failed for mode(s): {modes}"
+        print(f"partial results written to {out}: {failed}", file=sys.stderr)
+        return True
     print(f"report written to {out}")
     return False
 
@@ -128,14 +138,12 @@ def _run_one_experiment(cfg: ExperimentConfig, out: Path, jobs: int) -> bool:
 def _cmd_bandwidths(args) -> int:
     cfg = _load_config(args, BandwidthsConfig, {"distribution": _MAXWELL_1, "n": 2000})
     report = asymptotics.bandwidth_report(reference_for(cfg.distribution), cfg.n)
-    out = _resolve_out(args, cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(dataclasses.asdict(report), out / "bandwidths.json")
     print(
         f"[{cfg.distribution.label} n={cfg.n}] plugin={report.b_plugin:.6f} "
         f"refined={report.b_refined:.6f} chen={report.b_chen:.6f}"
     )
-    print(f"report written to {out / 'bandwidths.json'}")
+    out = _resolve_out(args, cfg.output_dir)
+    _save_json(dataclasses.asdict(report), out, "bandwidths.json")
     return EXIT_OK
 
 
@@ -148,13 +156,11 @@ def _cmd_converge(args) -> int:
     }
     cfg = _load_config(args, ConvergenceConfig, default)
     result = harness.convergence_study(cfg, jobs=args.jobs)
-    out = _resolve_out(args, cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(harness.convergence_result_dict(cfg, result), out / "convergence.json")
     print(f"[{cfg.distribution.label}] fitted log-log MISE slope: {result.slope:.4f}")
     for n, mise in result.points:
         print(f"  n={n:<7} mean ISE={mise:.6f}")
-    print(f"report written to {out / 'convergence.json'}")
+    out = _resolve_out(args, cfg.output_dir)
+    _save_json(harness.convergence_result_dict(cfg, result), out, "convergence.json")
     return EXIT_OK
 
 
@@ -169,9 +175,6 @@ def _cmd_verify_lemmas(args) -> int:
     }
     cfg = _load_config(args, MomentCheckConfig, default)
     report = harness.asymptotic_moment_check(cfg, jobs=args.jobs)
-    out = _resolve_out(args, None)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(harness.moment_check_dict(report), out / "moment_check.json")
     print(f"[{cfg.distribution.label} n={cfg.n} b={cfg.b} replications={cfg.replications}]")
     for row in report.rows:
         print(
@@ -180,7 +183,8 @@ def _cmd_verify_lemmas(args) -> int:
         )
     for note in report.notes:
         print(f"  note: {note}")
-    print(f"report written to {out / 'moment_check.json'}")
+    out = _resolve_out(args, None)
+    _save_json(harness.moment_check_dict(report), out, "moment_check.json")
     return EXIT_OK
 
 

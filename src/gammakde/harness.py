@@ -1,6 +1,7 @@
 """Monte Carlo experiment harness.
 
-Three studies are provided, all driven by JSON-friendly configs:
+Three studies are provided, all driven by JSON-friendly configs. Each
+returns its result and writes no file; the command line writes them.
 
 * run_experiment: repeated sampling at one sample size, derivative
   estimation on a grid under several bandwidth rules, integrated squared
@@ -11,9 +12,11 @@ Three studies are provided, all driven by JSON-friendly configs:
 * asymptotic_moment_check: Monte Carlo means and variances of the pointwise
   derivative estimate against their predicted leading terms.
 
-Reproducibility contract: replication r always draws with a seed derived
-from (config seed, r), so reports are byte-identical for a fixed config no
-matter how many worker processes execute the replications.
+Reproducibility contract: replication r of every study is one task, a
+sample drawn with a seed derived from (config seed, r), or (config seed,
+size index, r) on the converge ladder. The parent reduces the results in
+task order, so reports are byte-identical for a fixed config no matter how
+many worker processes execute the replications.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .refdens import (
 
 __all__ = [
     "ConfigError",
-    "BandwidthSelectionError",
     "FixedBandwidth",
     "GridSpec",
     "BandwidthsConfig",
@@ -81,16 +83,6 @@ _EARLIER_REPORTED_N200 = (
 
 class ConfigError(ValueError):
     """A configuration file or value is malformed."""
-
-
-class BandwidthSelectionError(RuntimeError):
-    """One or more bandwidth rules failed; partial results were written."""
-
-    def __init__(self, failures: dict[str, str], report: "ExperimentReport"):
-        modes = ", ".join(sorted(failures))
-        super().__init__(f"bandwidth selection failed for mode(s): {modes}")
-        self.failures = failures
-        self.report = report
 
 
 def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -315,46 +307,33 @@ def _ise(estimate: np.ndarray, truth: np.ndarray, grid: np.ndarray) -> float:
     return float(_trapezoid(diff * diff, grid))
 
 
-def _experiment_task(args):
-    dist, n, root_seed, rep, grid, labeled_bandwidths, truth, want_curves = args
-    s = sample(dist, n, derived_seed(root_seed, rep))
-    ises = {}
-    curves = {} if want_curves else None
-    for label, b in labeled_bandwidths:
-        ev = evaluate_on_grid(s, b, grid)
-        ises[label] = _ise(ev.derivative, truth, grid)
-        if want_curves:
-            curves[label] = ev
-    return rep, ises, curves
+def _replicate(args) -> list:
+    """One replication: a seeded sample, evaluated once per bandwidth."""
+    dist, n, seed, points, bandwidths = args
+    s = sample(dist, n, seed)
+    return [evaluate_on_grid(s, b, points) for b in bandwidths]
 
 
-def _map_tasks(task_fn, tasks, jobs: int):
-    """task_fn over tasks, results in task order, on up to `jobs` processes.
+def _map_tasks(task_fn, tasks: list, jobs: int):
+    """Yield task_fn over tasks, in task order, on up to `jobs` processes.
 
     The pool starts all of its workers at once, so it gets no more than
     there are tasks or CPUs.
     """
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        return [task_fn(t) for t in tasks]
+        yield from map(task_fn, tasks)
+        return
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task_fn, tasks, chunksize=chunk))
+        yield from pool.map(task_fn, tasks, chunksize=chunk)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    jobs: int = 1,
-    output_dir: str | Path | None = None,
-) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
     """Run the repeated-sampling experiment described by cfg.
 
-    Writes report.json and one curve_<mode>.csv per bandwidth mode into the
-    resolved output directory (argument, else cfg.output_dir; no files when
-    both are absent). If any bandwidth rule fails, the remaining modes are
-    still run, partial results are written, and a BandwidthSelectionError
-    naming the failed mode(s) is raised with the report attached.
+    A bandwidth rule that fails is recorded in report.bandwidth_errors, and
+    the remaining modes still run. Nothing is written: write_report does that.
     """
     ref = reference_for(cfg.distribution)
     grid = cfg.grid.array()
@@ -381,24 +360,21 @@ def run_experiment(
         except (numerics.IntegrationError, ValueError):
             constants = None
 
-    labeled = [(label, b) for label, b in bandwidths.items()]
+    b_values = tuple(bandwidths.values())
     tasks = [
-        (cfg.distribution, cfg.n, cfg.seed, rep, grid, labeled, truth, rep == 0)
-        for rep in range(cfg.replications if labeled else 0)
+        (cfg.distribution, cfg.n, derived_seed(cfg.seed, rep), grid, b_values)
+        for rep in range(cfg.replications if b_values else 0)
     ]
-    results = _map_tasks(_experiment_task, tasks, jobs)
-
     per_replication = []
-    ise_by_mode: dict = {label: [] for label, _ in labeled}
+    ise_by_mode: dict = {label: [] for label in bandwidths}
     curves: dict = {}
-    for rep, ises, rep_curves in results:
-        for label, _ in labeled:
-            per_replication.append(
-                {"replication": rep, "mode": label, "ise": ises[label]}
-            )
-            ise_by_mode[label].append(ises[label])
-        if rep_curves is not None:
-            curves = rep_curves
+    for rep, evaluations in enumerate(_map_tasks(_replicate, tasks, jobs)):
+        if rep == 0:
+            curves = dict(zip(bandwidths, evaluations))
+        for label, ev in zip(bandwidths, evaluations):
+            ise = _ise(ev.derivative, truth, grid)
+            per_replication.append({"replication": rep, "mode": label, "ise": ise})
+            ise_by_mode[label].append(ise)
 
     summary = {}
     for label, values in ise_by_mode.items():
@@ -414,7 +390,7 @@ def run_experiment(
         notes.append("single replication: the ISE spread (std) is undefined")
     notes.extend(_reference_comparison_notes(cfg, bandwidths))
 
-    report = ExperimentReport(
+    return ExperimentReport(
         config=cfg,
         bandwidths=bandwidths,
         constants=constants,
@@ -424,15 +400,6 @@ def run_experiment(
         curves=curves,
         notes=notes,
     )
-
-    out = Path(output_dir) if output_dir is not None else (
-        Path(cfg.output_dir) if cfg.output_dir else None
-    )
-    if out is not None:
-        write_report(report, out)
-    if failures:
-        raise BandwidthSelectionError(failures, report)
-    return report
 
 
 def _reference_comparison_notes(cfg: ExperimentConfig, bandwidths: dict) -> list:
@@ -535,13 +502,6 @@ class ConvergenceResult:
     bandwidths: dict
 
 
-def _convergence_task(args):
-    dist, n, b, root_seed, size_index, rep, grid, truth = args
-    s = sample(dist, n, derived_seed(root_seed, size_index, rep))
-    ev = evaluate_on_grid(s, b, grid)
-    return size_index, rep, _ise(ev.derivative, truth, grid)
-
-
 def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceResult:
     """Estimate the MISE decay exponent under the plug-in bandwidth."""
     ref = reference_for(cfg.distribution)
@@ -550,15 +510,14 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     integrals = asymptotics.SelectorIntegrals(ref)
     plugin = asymptotics.SELECTORS["plugin"]
     bandwidths = {n: plugin(integrals, n) for n in cfg.n_list}
+    ladder = [(i, n, rep) for i, n in enumerate(cfg.n_list) for rep in range(cfg.replications)]
     tasks = [
-        (cfg.distribution, n, bandwidths[n], cfg.seed, i, rep, grid, truth)
-        for i, n in enumerate(cfg.n_list)
-        for rep in range(cfg.replications)
+        (cfg.distribution, n, derived_seed(cfg.seed, i, rep), grid, (bandwidths[n],))
+        for i, n, rep in ladder
     ]
-    results = _map_tasks(_convergence_task, tasks, jobs)
     sums = np.zeros(len(cfg.n_list))
-    for size_index, _, ise in results:
-        sums[size_index] += ise
+    for (i, _, _), (ev,) in zip(ladder, _map_tasks(_replicate, tasks, jobs)):
+        sums[i] += _ise(ev.derivative, truth, grid)
     mise = sums / cfg.replications
     log_n = np.log(np.asarray(cfg.n_list, dtype=float))
     slope, intercept = np.polyfit(log_n, np.log(mise), 1)
@@ -637,13 +596,6 @@ class MomentCheckReport:
     notes: tuple
 
 
-def _moment_task(args):
-    dist, n, root_seed, rep, xs, b = args
-    s = sample(dist, n, derived_seed(root_seed, rep))
-    ev = evaluate_on_grid(s, b, xs)
-    return ev.derivative
-
-
 def asymptotic_moment_check(
     cfg: MomentCheckConfig, *, jobs: int = 1
 ) -> MomentCheckReport:
@@ -651,10 +603,11 @@ def asymptotic_moment_check(
     ref = reference_for(cfg.distribution)
     xs = np.asarray(cfg.x_list, dtype=float)
     tasks = [
-        (cfg.distribution, cfg.n, cfg.seed, rep, xs, cfg.b)
+        (cfg.distribution, cfg.n, derived_seed(cfg.seed, rep), xs, (cfg.b,))
         for rep in range(cfg.replications)
     ]
-    estimates = np.vstack(_map_tasks(_moment_task, tasks, jobs))
+    results = _map_tasks(_replicate, tasks, jobs)
+    estimates = np.vstack([ev.derivative for (ev,) in results])
 
     mc_mean = estimates.mean(axis=0)
     if cfg.replications > 1:

@@ -171,11 +171,15 @@ def integrate_semi_infinite(
     # Each heap entry is (-error, a, b, value); heapq pops the worst panel.
     panels: list[tuple[float, float, float, float]] = []
 
-    def push(a: float, b: float) -> None:
+    def push(a: float, b: float) -> tuple[float, float]:
         nonlocal evals
         value, err = _panel(g, a, b)
         evals += _KRONROD_NODES.size
         heapq.heappush(panels, (-err, a, b, value))
+        return value, err
+
+    def totals() -> tuple[float, float]:
+        return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
     for lo, hi in zip(_BREAKPOINTS[:-1], _BREAKPOINTS[1:]):
         push(lo, hi)
@@ -188,16 +192,10 @@ def integrate_semi_infinite(
         if doublings >= _MAX_TAIL_DOUBLINGS:
             raise IntegrationError(
                 "tail of the integrand does not decay; integral looks divergent",
-                QuadratureResult(
-                    math.fsum(p[3] for p in panels),
-                    math.fsum(-p[0] for p in panels),
-                    evals,
-                ),
+                QuadratureResult(*totals(), evals),
             )
         tail_hi = 2.0 * tail_lo
-        value, err = _panel(g, tail_lo, tail_hi)
-        evals += _KRONROD_NODES.size
-        heapq.heappush(panels, (-err, tail_lo, tail_hi, value))
+        value, err = push(tail_lo, tail_hi)
         total = math.fsum(p[3] for p in panels)
         threshold = max(_TAIL_CUTOFF * abs(total), abs_tol * _TAIL_CUTOFF)
         if abs(value) <= threshold and err <= max(threshold, 1e-300):
@@ -206,12 +204,6 @@ def integrate_semi_infinite(
             quiet = 0
         tail_lo = tail_hi
         doublings += 1
-
-    def totals() -> tuple[float, float]:
-        return (
-            math.fsum(p[3] for p in panels),
-            math.fsum(-p[0] for p in panels),
-        )
 
     value, err = totals()
     while err > max(rel_tol * abs(value), abs_tol):

@@ -334,6 +334,22 @@ class TestMiseAndSelectors:
         with pytest.raises(DegenerateIntegralError, match="curvature"):
             global_bandwidth_plugin(None, 100, integrals=MiseIntegrals(0.0, -1.0, 0.0))
 
+    def test_zero_mass_plugin_is_degenerate(self):
+        # mass = 0 once gave a plug-in bandwidth of 0.0 with no error; the
+        # refined rule finds no root for the same integrals, and says so.
+        ints = MiseIntegrals(1.0, 0.0, 0.0)
+        with pytest.raises(DegenerateIntegralError, match="zero plug-in bandwidth"):
+            global_bandwidth_plugin(None, 100, integrals=ints)
+        with pytest.raises(NoRootError):
+            refined_bandwidth(None, 100, integrals=ints)
+
+    def test_mise_leading_checks_signs(self):
+        # A negative mass once gave a negative leading MISE (-0.04398).
+        with pytest.raises(DegenerateIntegralError, match="negative mass.*leading MISE"):
+            mise_leading(None, 0.1, 100, integrals=MiseIntegrals(1.0, -1.0, 0.0))
+        with pytest.raises(DegenerateIntegralError, match="curvature.*leading MISE"):
+            mise_leading(None, 0.1, 100, integrals=MiseIntegrals(0.0, 1.0, 0.0))
+
     def test_refined_narrow_maxwell_is_degenerate(self):
         with pytest.raises(DegenerateIntegralError, match="refined"):
             refined_bandwidth(maxwell_reference(sigma=3e-5), 100)

@@ -1,7 +1,8 @@
 """End-to-end golden outputs: small configs of every subcommand.
 
-Each case runs `gammakde <command> --config ... --jobs 1` and must write the
-same files, byte for byte, as the copies under tests/data/golden/<case>/.
+Each case runs `gammakde <command> --config ... --jobs 1`, and again with
+--jobs 2 through the process pool, and must write the same files, byte for
+byte, as the copies under tests/data/golden/<case>/.
 The configs are small, but the converge ladder reaches n = 1600 on the
 400-point default grid, which the estimator evaluates in several blocks.
 
@@ -66,28 +67,37 @@ CASES = {
 }
 
 
-def run_case(name: str, work: Path, out: Path) -> int:
+def run_case(name: str, work: Path, out: Path, jobs: int = 1) -> int:
     command, config = CASES[name]
     work.mkdir(parents=True, exist_ok=True)
     cfg = work / f"{name}.json"
     cfg.write_text(json.dumps(config))
-    return main([command, "--config", str(cfg), "--out", str(out), "--jobs", "1"])
+    return main([command, "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)])
 
 
 def files_under(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_golden_bytes(name, tmp_path):
+def check_golden(name: str, tmp_path: Path, jobs: int) -> None:
     out = tmp_path / "out"
-    assert run_case(name, tmp_path, out) == EXIT_OK
+    assert run_case(name, tmp_path, out, jobs) == EXIT_OK
     want = files_under(GOLDEN / name)
     got = files_under(out)
     assert want, f"no golden files for {name}"
     assert sorted(got) == sorted(want)
     for rel, path in want.items():
         assert got[rel].read_bytes() == path.read_bytes(), f"{name}/{rel} differs"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_golden_bytes(name, tmp_path):
+    check_golden(name, tmp_path, jobs=1)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pool_outputs_match_golden_bytes(name, tmp_path):
+    check_golden(name, tmp_path, jobs=2)
 
 
 if __name__ == "__main__":

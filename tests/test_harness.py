@@ -8,7 +8,6 @@ import pytest
 
 from gammakde import harness
 from gammakde.harness import (
-    BandwidthSelectionError,
     BandwidthsConfig,
     ConfigError,
     ConvergenceConfig,
@@ -236,14 +235,14 @@ class TestWorkerPool:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         tasks = list(range(-40, 0))
-        assert harness._map_tasks(abs, tasks, 10_000) == [abs(t) for t in tasks]
+        assert list(harness._map_tasks(abs, tasks, 10_000)) == [abs(t) for t in tasks]
         assert seen == [4, 40 // (4 * 4)]
         seen.clear()
-        assert harness._map_tasks(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+        assert list(harness._map_tasks(abs, [-1, -2, -3], 10_000)) == [1, 2, 3]
         assert seen == [3, 1]
         seen.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert harness._map_tasks(abs, [-1, -2], 8) == [1, 2]
+        assert list(harness._map_tasks(abs, [-1, -2], 8)) == [1, 2]
         assert seen == []  # no CPU count: one worker, so no pool
 
 
@@ -284,9 +283,11 @@ class TestRunExperiment:
 
     def test_deterministic_across_jobs(self, tmp_path):
         cfg = small_config()
-        r1 = run_experiment(cfg, jobs=1, output_dir=tmp_path / "j1")
-        r2 = run_experiment(cfg, jobs=2, output_dir=tmp_path / "j2")
+        r1 = run_experiment(cfg, jobs=1)
+        r2 = run_experiment(cfg, jobs=2)
         assert report_dict(r1) == report_dict(r2)
+        write_report(r1, tmp_path / "j1")
+        write_report(r2, tmp_path / "j2")
         for name in ["report.json"] + [f"curve_{m}.csv" for m in r1.bandwidths]:
             b1 = (tmp_path / "j1" / name).read_bytes()
             b2 = (tmp_path / "j2" / name).read_bytes()
@@ -323,13 +324,12 @@ class TestRunExperiment:
             distribution=ChiSquareParams(m=3), n=50, seed=1, replications=2,
             grid=SMALL_GRID,
         )
-        with pytest.raises(BandwidthSelectionError) as exc_info:
-            run_experiment(cfg, output_dir=tmp_path)
-        err = exc_info.value
-        assert set(err.failures) == {"plugin", "refined", "chen"}
-        assert err.report.bandwidths == {}
-        assert err.report.per_replication_ise == []
-        # partial results land on disk before the raise
+        rep = run_experiment(cfg)
+        assert set(rep.bandwidth_errors) == {"plugin", "refined", "chen"}
+        assert rep.bandwidths == {}
+        assert rep.per_replication_ise == []
+        # partial results are written like any other report
+        write_report(rep, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert set(data["bandwidth_errors"]) == {"plugin", "refined", "chen"}
 
@@ -338,11 +338,11 @@ class TestRunExperiment:
             distribution=ChiSquareParams(m=3), n=50, seed=1, replications=2,
             grid=SMALL_GRID, bandwidth_modes=("plugin", FixedBandwidth(0.2)),
         )
-        with pytest.raises(BandwidthSelectionError) as exc_info:
-            run_experiment(cfg, output_dir=tmp_path)
-        rep = exc_info.value.report
+        rep = run_experiment(cfg)
+        assert set(rep.bandwidth_errors) == {"plugin"}
         assert list(rep.bandwidths) == ["fixed_0.2"]
         assert len(rep.per_replication_ise) == 2
+        write_report(rep, tmp_path)
         assert (tmp_path / "curve_fixed_0.2.csv").exists()
 
     def test_fixed_only_run_succeeds_for_heavy_origin_density(self):
@@ -376,6 +376,26 @@ class TestRunExperiment:
     def test_other_configs_omit_comparison_notes(self):
         rep = run_experiment(small_config(n=201, replications=1))
         assert all("earlier reported" not in note for note in rep.notes)
+
+
+def test_studies_write_no_file(tmp_path, monkeypatch):
+    # output_dir tells the command line where to write; a study itself
+    # returns its result and leaves the working directory as it found it.
+    monkeypatch.chdir(tmp_path)
+    run_experiment(small_config(replications=2, output_dir="experiment"))
+    partial = ExperimentConfig(
+        distribution=ChiSquareParams(m=3), n=50, seed=1, replications=2,
+        grid=SMALL_GRID, bandwidth_modes=("plugin", FixedBandwidth(0.2)),
+        output_dir="partial",
+    )
+    assert run_experiment(partial).bandwidth_errors
+    convergence_study(ConvergenceConfig(seed=1, output_dir="converge", **TestConvergence.CFG))
+    asymptotic_moment_check(
+        MomentCheckConfig(
+            distribution=MAXWELL, x_list=(1.0,), b=0.1, n=100, seed=1, replications=2
+        )
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConvergence:

@@ -17,7 +17,6 @@ import gammakde.cli
 PUBLIC = [
     "BandwidthConstants",
     "BandwidthReport",
-    "BandwidthSelectionError",
     "BandwidthsConfig",
     "ChiSquareParams",
     "ConfigError",
