@@ -272,12 +272,17 @@ def mise_leading(
     mise = (b^2 / 16) * curvature
            + (b^{-3/2} / (4 sqrt(pi) n)) * (mass + (b/2) * correction)
 
-    Integrals with curvature <= 0 or mass < 0 raise DegenerateIntegralError.
+    Integrals with curvature <= 0 or mass < 0, or a negative variance part
+    mass + (b/2) correction, raise DegenerateIntegralError.
     """
     b = _check_bandwidth(b)
     n = _check_n(n)
     ints = _rule_integrals(ref, integrals, "leading MISE")
     variance_part = ints.mass + 0.5 * b * ints.correction
+    if variance_part < 0.0:
+        raise numerics.DegenerateIntegralError(
+            f"negative variance part {variance_part!r} at b={b!r}; no leading MISE"
+        )
     return (b * b / 16.0) * ints.curvature + variance_part / (
         4.0 * _SQRT_PI * n * b ** 1.5
     )
@@ -293,7 +298,8 @@ def global_bandwidth_plugin(
 
     b0 = (3 mass / (sqrt(pi) curvature))^{2/7} n^{-2/7}
 
-    Integrals with curvature <= 0 or mass <= 0 raise DegenerateIntegralError.
+    Integrals with curvature <= 0 or mass <= 0, or a ratio that is not
+    finite, raise DegenerateIntegralError.
     """
     n = _check_n(n)
     ints = _rule_integrals(ref, integrals, "plug-in bandwidth")
@@ -301,6 +307,11 @@ def global_bandwidth_plugin(
     if ratio == 0.0:
         raise numerics.DegenerateIntegralError(
             f"mass integral {ints.mass!r} gives a zero plug-in bandwidth"
+        )
+    if not math.isfinite(ratio):
+        raise numerics.DegenerateIntegralError(
+            f"mass {ints.mass!r} over curvature {ints.curvature!r} is not finite; "
+            "no plug-in bandwidth"
         )
     return ratio ** (2.0 / 7.0) * n ** (-2.0 / 7.0)
 

@@ -6,6 +6,13 @@ and the tail through dyadic panels that stop once their contribution is
 negligible. Kronrod nodes are interior, so the integrand is never evaluated
 at 0 and endpoint singularities surface as non-convergence rather than as a
 domain error. Integrands must accept numpy arrays.
+
+Cost model: each bisection of the worst panel makes one integrand call, on
+the 30 nodes of its two halves (the two unit-interval panels share one call
+too, and each tail panel has its own). The running totals of the live
+panels' values and error estimates are exact, so a bisection adds and
+removes O(1) terms instead of re-summing every panel: P panels cost O(P),
+and each total is rounded once when read, to the bits math.fsum would give.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ _BREAKPOINTS = (0.0, 0.5, 1.0)  # initial panels of the unit interval
 _TAIL_CUTOFF = 1e-14  # panel mass below this fraction of the total ends the tail
 _MAX_TAIL_DOUBLINGS = 64
 _MAX_EVALS = 1_000_000  # integrand evaluations per integral
+# The budget allows fewer than 2**17 panels, so sums of terms below 2**1000
+# (and math.fsum's partials) stay below 2**1017, inside the float range.
+_EXACT_LIMIT = 2.0**1000
+_UNITS_PER_ONE = 1 << 1074  # exact running totals count multiples of 2**-1074
 
 
 @dataclass(frozen=True)
@@ -113,23 +124,58 @@ class NoRootError(RuntimeError):
     """No sign change was found on the requested bracket."""
 
 
-def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Gauss-Kronrod estimate of integral(g, a, b) -> (value, error)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = mid + half * _KRONROD_NODES
+def _panels(g: Callable[[np.ndarray], np.ndarray], bounds):
+    """Gauss-Kronrod (value, error) on each panel (a, b) of bounds, in order.
+
+    One call of g evaluates the nodes of every panel. The panels are checked
+    for non-finite values in order, so the first bad one is the one named.
+    """
+    halves = [0.5 * (b - a) for a, b in bounds]
+    nodes = np.concatenate(
+        [0.5 * (a + b) + half * _KRONROD_NODES for (a, b), half in zip(bounds, halves)]
+    )
     # overflow to inf is caught by the finiteness check below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(g(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("integrand must map an array of points to same-shape values")
-    if not np.all(np.isfinite(vals)):
-        raise IntegrationError(
-            f"integrand returned a non-finite value on ({a!r}, {b!r})"
-        )
-    kronrod = half * float(_KRONROD_WEIGHTS @ vals)
-    gauss = half * float(_GAUSS_WEIGHTS @ vals[1::2])
-    return kronrod, abs(kronrod - gauss)
+    scores = []
+    for (a, b), half, v in zip(bounds, halves, vals.reshape(len(bounds), -1)):
+        if not np.isfinite(v).all():
+            message = f"integrand returned a non-finite value on ({a!r}, {b!r})"
+            if a == 0.0 and b < _BREAKPOINTS[1]:
+                # finite on the wider panel this one was bisected from
+                message += "; the integral diverges at the origin"
+            raise IntegrationError(message)
+        kronrod = half * float(_KRONROD_WEIGHTS @ v)
+        gauss = half * float(_GAUSS_WEIGHTS @ v[1::2])
+        scores.append((kronrod, abs(kronrod - gauss)))
+    return scores
+
+
+class _RunningSum:
+    """Exact running sum of floats, rounded once when read, as math.fsum does.
+
+    Terms are held as integer multiples of 2**-1074, the smallest subnormal,
+    so adding or removing one is exact and int / int rounds the total
+    correctly. A term that is not finite, or not below 2**1000, is only
+    counted; while one is in the sum, read() falls back to math.fsum over
+    the terms, with its own handling of inf, nan and overflow.
+    """
+
+    def __init__(self):
+        self.units = 0
+        self.outside = 0
+
+    def add(self, x: float, sign: int = 1) -> None:
+        if abs(x) < _EXACT_LIMIT:
+            num, den = x.as_integer_ratio()
+            self.units += sign * (num << (1075 - den.bit_length()))
+        else:
+            self.outside += sign
+
+    def read(self, terms) -> float:
+        return math.fsum(terms) if self.outside else self.units / _UNITS_PER_ONE
 
 
 def integrate_semi_infinite(
@@ -155,12 +201,18 @@ def integrate_semi_infinite(
     QuadratureResult
         The abs_error_estimate is the sum of panel |Kronrod - Gauss| gaps,
         which in practice over-covers the true error by orders of magnitude.
+        Both totals are kept exactly as panels come and go and rounded once
+        when read, so refining to P panels costs O(P) bookkeeping. Each
+        bisection makes one call of g on the 30 nodes of both halves.
 
     Raises
     ------
     IntegrationError
         On non-convergence within 1e6 integrand evaluations (e.g. a
         non-integrable endpoint singularity), with the partial result attached.
+        A non-finite integrand value carries no partial result; when it
+        appears only as bisection narrows a panel onto 0, the message says
+        that the integral diverges at the origin.
     """
     if not 1e-13 < rel_tol < 1e-2:
         raise ValueError(f"rel_tol must lie in (1e-13, 1e-2), got {rel_tol!r}")
@@ -170,19 +222,22 @@ def integrate_semi_infinite(
     evals = 0
     # Each heap entry is (-error, a, b, value); heapq pops the worst panel.
     panels: list[tuple[float, float, float, float]] = []
+    values, errors = _RunningSum(), _RunningSum()
 
-    def push(a: float, b: float) -> tuple[float, float]:
+    def push(*bounds: tuple[float, float]) -> tuple[float, float]:
+        """Score the panels in one call of g; returns the last (value, err)."""
         nonlocal evals
-        value, err = _panel(g, a, b)
-        evals += _KRONROD_NODES.size
-        heapq.heappush(panels, (-err, a, b, value))
+        for (a, b), (value, err) in zip(bounds, _panels(g, bounds)):
+            evals += _KRONROD_NODES.size
+            heapq.heappush(panels, (-err, a, b, value))
+            values.add(value)
+            errors.add(err)
         return value, err
 
     def totals() -> tuple[float, float]:
-        return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+        return values.read(p[3] for p in panels), errors.read(-p[0] for p in panels)
 
-    for lo, hi in zip(_BREAKPOINTS[:-1], _BREAKPOINTS[1:]):
-        push(lo, hi)
+    push(*zip(_BREAKPOINTS[:-1], _BREAKPOINTS[1:]))
 
     # Extend dyadic tail panels until two in a row are negligible.
     tail_lo = _BREAKPOINTS[-1]
@@ -195,8 +250,8 @@ def integrate_semi_infinite(
                 QuadratureResult(*totals(), evals),
             )
         tail_hi = 2.0 * tail_lo
-        value, err = push(tail_lo, tail_hi)
-        total = math.fsum(p[3] for p in panels)
+        value, err = push((tail_lo, tail_hi))
+        total = values.read(p[3] for p in panels)
         threshold = max(_TAIL_CUTOFF * abs(total), abs_tol * _TAIL_CUTOFF)
         if abs(value) <= threshold and err <= max(threshold, 1e-300):
             quiet += 1
@@ -212,8 +267,9 @@ def integrate_semi_infinite(
                 f"evaluation budget of {_MAX_EVALS} exhausted at error {err:.3e}",
                 QuadratureResult(value, err, evals),
             )
-        worst = heapq.heappop(panels)
-        _, a, b, _ = worst
+        neg_err, a, b, worst = heapq.heappop(panels)
+        values.add(worst, -1)
+        errors.add(-neg_err, -1)
         mid = 0.5 * (a + b)
         if not (a < mid < b):
             raise IntegrationError(
@@ -221,8 +277,7 @@ def integrate_semi_infinite(
                 "integrand is too singular for the requested tolerance",
                 QuadratureResult(value, err, evals),
             )
-        push(a, mid)
-        push(mid, b)
+        push((a, mid), (mid, b))
         value, err = totals()
 
     return QuadratureResult(value, err, evals)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from gammakde.asymptotics import MiseIntegrals, mise_leading
+from gammakde.asymptotics import MiseIntegrals
 from gammakde.numerics import NoRootError, find_root
 from gammakde.refdens import MaxwellParams
 from gammakde.specfun import stirling_ratio
@@ -94,8 +94,20 @@ def refined_scan(ints: MiseIntegrals, n: int) -> tuple[float, tuple[float, ...]]
             f"({1e-4:g}, {1.0:g}): endpoints "
             f"{values[0]:.6e} and {values[-1]:.6e}"
         )
-    best = min(roots, key=lambda r: mise_leading(None, r, n, integrals=ints))
+    best = min(roots, key=lambda r: _leading_mise(ints, r, n))
     return best, tuple(roots)
+
+
+def _leading_mise(ints: MiseIntegrals, b: float, n: int) -> float:
+    """asymptotics.mise_leading's expression without its sign checks.
+
+    The scan ranks roots of synthetic integrals whose variance part
+    mass + (b/2) correction can be negative there, which mise_leading rejects.
+    """
+    variance_part = ints.mass + 0.5 * b * ints.correction
+    return (b * b / 16.0) * ints.curvature + variance_part / (
+        4.0 * _SQRT_PI * n * b ** 1.5
+    )
 
 
 def maxwell_cdf(params: MaxwellParams, x) -> float | np.ndarray:

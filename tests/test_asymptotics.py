@@ -6,6 +6,7 @@ rather than re-deriving the formulas.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,18 @@ class TestGlobalIntegrals:
         with pytest.raises(IntegrationError):
             chen_constants(chi_square_reference(3))
 
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_origin_divergence_is_named(self, m):
+        # Quadrature bisects toward 0 until the integrand overflows there.
+        with pytest.raises(IntegrationError) as exc_info:
+            bandwidth_report(chi_square_reference(m), 200)
+        assert type(exc_info.value) is IntegrationError
+        assert re.fullmatch(
+            r"integrand returned a non-finite value on \(0\.0, \d\.\d+e-\d+\); "
+            "the integral diverges at the origin",
+            str(exc_info.value),
+        )
+
 
 class TestMiseAndSelectors:
     def test_mise_leading_frozen(self, maxwell, maxwell_integrals):
@@ -349,6 +362,20 @@ class TestMiseAndSelectors:
             mise_leading(None, 0.1, 100, integrals=MiseIntegrals(1.0, -1.0, 0.0))
         with pytest.raises(DegenerateIntegralError, match="curvature.*leading MISE"):
             mise_leading(None, 0.1, 100, integrals=MiseIntegrals(0.0, 1.0, 0.0))
+
+    def test_overflowing_plugin_ratio_is_degenerate(self):
+        # 3 mass / (sqrt(pi) curvature) overflowed, and the rule returned inf.
+        ints = MiseIntegrals(5e-324, 1.0, 0.0)
+        with pytest.raises(DegenerateIntegralError, match="not finite.*plug-in"):
+            global_bandwidth_plugin(None, 100, integrals=ints)
+
+    def test_negative_variance_part_is_degenerate(self):
+        # mass + (b/2) correction < 0 once gave a negative leading MISE (-0.0016).
+        ints = MiseIntegrals(1.0, 0.0, -1.0)
+        with pytest.raises(DegenerateIntegralError, match="negative variance.*leading MISE"):
+            mise_leading(None, 0.1, 100, integrals=ints)
+        # mass alone keeps the variance part positive at the same b
+        assert mise_leading(None, 0.1, 100, integrals=MiseIntegrals(1.0, 1.0, -1.0)) > 0.0
 
     def test_refined_narrow_maxwell_is_degenerate(self):
         with pytest.raises(DegenerateIntegralError, match="refined"):

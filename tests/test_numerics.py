@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gammakde import numerics
+from gammakde.asymptotics import curvature_term
 from gammakde.kernels import kernel_x_derivative
 from gammakde.numerics import (
     IntegrationError,
@@ -13,6 +14,7 @@ from gammakde.numerics import (
     find_root,
     integrate_semi_infinite,
 )
+from gammakde.refdens import chi_square_reference, maxwell_reference
 
 from conftest import rel_err
 from oracles import central_difference, minimize_scalar
@@ -73,6 +75,44 @@ def test_divergent_integrand_fails_loudly():
 def test_nonfinite_integrand_fails_loudly():
     with pytest.raises(IntegrationError):
         integrate_semi_infinite(lambda x: np.full_like(np.asarray(x), np.inf), 1e-8)
+
+
+def test_origin_divergence_is_named():
+    # finite on (0, 0.5) at first, then overflowing as bisection nears 0
+    with pytest.raises(IntegrationError, match=r"on \(0\.0, .*diverges at the origin$"):
+        integrate_semi_infinite(lambda x: x**-1.5 * np.exp(-x), 1e-8)
+    # not finite anywhere: nothing points at the origin
+    with pytest.raises(IntegrationError) as exc_info:
+        integrate_semi_infinite(lambda x: np.full_like(x, np.inf), 1e-8)
+    assert str(exc_info.value) == "integrand returned a non-finite value on (0.0, 0.5)"
+
+
+def _counting(g):
+    """g, plus the sizes of the arrays it was called on."""
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return g(t)
+
+    return counted, sizes
+
+
+def test_one_integrand_call_per_bisection():
+    # The two unit panels share one call, each dyadic tail panel has its own,
+    # and so do the two halves of each bisection: 1 + 5 + 3 calls.
+    ref = maxwell_reference(1.0)
+    g, sizes = _counting(lambda t: curvature_term(ref, t))
+    r = integrate_semi_infinite(g, 1e-10)
+    assert (len(sizes), sum(sizes), r.evaluations) == (9, 195, 195)
+
+    # 1 + 7 calls, 503 full bisections and the one whose left half fails;
+    # that last call evaluates the right half too (15 points).
+    ref = chi_square_reference(4)
+    g, sizes = _counting(lambda t: curvature_term(ref, t))
+    with pytest.raises(IntegrationError, match="diverges at the origin"):
+        integrate_semi_infinite(g, 1e-10)
+    assert (len(sizes), sum(sizes)) == (512, 15255)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, 1e-14, 0.5, 1.0])
