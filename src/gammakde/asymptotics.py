@@ -14,6 +14,9 @@ bandwidth selectors:
 
 Bandwidth powers follow from balancing squared bias O(b^2) against variance
 O(n^-1 b^-3/2): the optimum scales as n^(-2/7) and the MSE there as n^(-4/7).
+
+Cost model: each pointwise formula and each quadrature integrand call makes
+one closed-form evaluation, ref.derivs, whichever of f, f' and f'' it reads.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .refdens import ReferenceDensity
+from .refdens import PdfDerivs, ReferenceDensity
 from .specfun import log_gamma
 
 __all__ = [
@@ -73,16 +76,20 @@ def _check_bandwidth(b: float) -> float:
     return b
 
 
+def _curvature(d: PdfDerivs, x):
+    term = d.f / (3.0 * x * x) + d.d2
+    return term * term
+
+
 def curvature_term(ref: ReferenceDensity, x) -> float | np.ndarray:
     """Squared curvature factor (f(x)/(3 x^2) + f''(x))^2 driving the bias.
 
     Accepts scalars or arrays with x > 0.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    if not ((arr > 0.0) & (arr < np.inf)).all():
         raise ValueError("curvature_term requires finite x > 0")
-    term = ref.pdf(arr) / (3.0 * arr * arr) + ref.d2(arr)
-    out = term * term
+    out = _curvature(ref.derivs(arr), arr)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -107,7 +114,8 @@ def bias_interior(ref: ReferenceDensity, x: float, b: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x >= 2.0 * b):
         raise ValueError(f"interior bias requires x >= 2 b, got x={x!r}, b={b!r}")
-    return b * (float(ref.pdf(x)) / (12.0 * x * x) + float(ref.d2(x)) / 4.0)
+    d = ref.derivs(x)
+    return b * (float(d.f) / (12.0 * x * x) + float(d.d2) / 4.0)
 
 
 def bias_boundary(ref: ReferenceDensity, b: float, kappa: float) -> float:
@@ -125,7 +133,8 @@ def bias_boundary(ref: ReferenceDensity, b: float, kappa: float) -> float:
     x = kappa * b
     slope_coef = (3.0 * kappa * kappa - 6.0 * kappa - 1.0) / (6.0 * kappa)
     curve_coef = 7.0 * kappa / 48.0 + kappa * kappa / 2.0
-    return float(ref.d1(x)) * slope_coef + b * float(ref.d2(x)) * curve_coef
+    d = ref.derivs(x)
+    return float(d.d1) * slope_coef + b * float(d.d2) * curve_coef
 
 
 def variance_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float:
@@ -139,8 +148,8 @@ def variance_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float
     x = float(x)
     if not (math.isfinite(x) and x >= 2.0 * b):
         raise ValueError(f"interior variance requires x >= 2 b, got x={x!r}, b={b!r}")
-    f = float(ref.pdf(x))
-    d1 = float(ref.d1(x))
+    d = ref.derivs(x)
+    f, d1 = float(d.f), float(d.d1)
     bracket = f / (2.0 * x) + b * (f / (4.0 * x * x) - d1 / (4.0 * x))
     return bracket / (2.0 * _SQRT_PI * n * b ** 1.5 * math.sqrt(x))
 
@@ -201,8 +210,8 @@ def pointwise_optimal(ref: ReferenceDensity, x: float, n: int) -> PointwiseBandw
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"pointwise_optimal requires x > 0, got {x!r}")
-    p = float(curvature_term(ref, x))
-    f = float(ref.pdf(x))
+    d = ref.derivs(x)
+    p, f = float(_curvature(d, x)), float(d.f)
     if p <= 0.0 or f <= 0.0:
         raise ValueError(
             f"degenerate curvature or density at x={x!r}: P={p!r}, f={f!r}"
@@ -230,18 +239,23 @@ class MiseIntegrals:
     correction: float
 
 
+def _integral(g) -> float:
+    """Integral of g over (0, inf) at the accuracy of every global integral."""
+    return numerics.integrate_semi_infinite(g, _QUAD_REL_TOL).value
+
+
 def mise_integrals(ref: ReferenceDensity) -> MiseIntegrals:
     """Evaluate the global integrals; diverging ones raise IntegrationError."""
-    curvature = numerics.integrate_semi_infinite(
-        lambda t: curvature_term(ref, t), _QUAD_REL_TOL
-    ).value
-    mass = numerics.integrate_semi_infinite(
-        lambda t: t ** -1.5 * ref.pdf(t), _QUAD_REL_TOL
-    ).value
-    correction = numerics.integrate_semi_infinite(
-        lambda t: t ** -1.5 * (ref.pdf(t) / t - ref.d1(t)), _QUAD_REL_TOL
-    ).value
-    return MiseIntegrals(curvature=curvature, mass=mass, correction=correction)
+
+    def correction(t):
+        d = ref.derivs(t)
+        return t ** -1.5 * (d.f / t - d.d1)
+
+    return MiseIntegrals(
+        curvature=_integral(lambda t: curvature_term(ref, t)),
+        mass=_integral(lambda t: t ** -1.5 * ref.pdf(t)),
+        correction=_integral(correction),
+    )
 
 
 def _rule_integrals(
@@ -390,13 +404,8 @@ def chen_constants(ref: ReferenceDensity) -> tuple[float, float]:
     V = (1 / (2 sqrt(pi))) integral of x^{-1/2} f(x)
     beta = integral of (x f''(x))^2
     """
-    v = numerics.integrate_semi_infinite(
-        lambda t: np.sqrt(1.0 / t) * ref.pdf(t), _QUAD_REL_TOL
-    ).value / (2.0 * _SQRT_PI)
-    beta = numerics.integrate_semi_infinite(
-        lambda t: (t * ref.d2(t)) ** 2, _QUAD_REL_TOL
-    ).value
-    return v, beta
+    v = _integral(lambda t: np.sqrt(1.0 / t) * ref.pdf(t)) / (2.0 * _SQRT_PI)
+    return v, _integral(lambda t: (t * ref.d2(t)) ** 2)
 
 
 def _chen_from_constants(v: float, beta: float, n: int) -> float:

@@ -127,26 +127,28 @@ class NoRootError(RuntimeError):
 def _panels(g: Callable[[np.ndarray], np.ndarray], bounds):
     """Gauss-Kronrod (value, error) on each panel (a, b) of bounds, in order.
 
-    One call of g evaluates the nodes of every panel. The panels are checked
-    for non-finite values in order, so the first bad one is the one named.
+    One call of g evaluates the nodes of every panel. A non-finite value
+    anywhere is traced to the first panel holding one, which is the one named.
     """
+    centers = np.array([0.5 * (a + b) for a, b in bounds])
     halves = [0.5 * (b - a) for a, b in bounds]
-    nodes = np.concatenate(
-        [0.5 * (a + b) + half * _KRONROD_NODES for (a, b), half in zip(bounds, halves)]
-    )
+    nodes = (centers[:, None] + np.array(halves)[:, None] * _KRONROD_NODES).ravel()
     # overflow to inf is caught by the finiteness check below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(g(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("integrand must map an array of points to same-shape values")
+    vals = vals.reshape(len(bounds), -1)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        a, b = bounds[int(finite.all(axis=1).argmin())]
+        message = f"integrand returned a non-finite value on ({a!r}, {b!r})"
+        if a == 0.0 and b < _BREAKPOINTS[1]:
+            # finite on the wider panel this one was bisected from
+            message += "; the integral diverges at the origin"
+        raise IntegrationError(message)
     scores = []
-    for (a, b), half, v in zip(bounds, halves, vals.reshape(len(bounds), -1)):
-        if not np.isfinite(v).all():
-            message = f"integrand returned a non-finite value on ({a!r}, {b!r})"
-            if a == 0.0 and b < _BREAKPOINTS[1]:
-                # finite on the wider panel this one was bisected from
-                message += "; the integral diverges at the origin"
-            raise IntegrationError(message)
+    for half, v in zip(halves, vals):
         kronrod = half * float(_KRONROD_WEIGHTS @ v)
         gauss = half * float(_GAUSS_WEIGHTS @ v[1::2])
         scores.append((kronrod, abs(kronrod - gauss)))

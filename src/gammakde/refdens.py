@@ -5,6 +5,9 @@ Two families are provided: the Maxwell distribution (speed of an isotropic
 its first two derivatives in closed form, which the plug-in bandwidth
 machinery consumes directly.
 
+Cost model: `ReferenceDensity.derivs` is one closed-form evaluation giving
+f, f' and f'' together; `pdf`, `d1` and `d2` are views that each cost one.
+
 Sampling reduces everything to standard normals: a Maxwell draw is the norm
 of three of them scaled by sigma, and a chi-square draw with m degrees of
 freedom is a sum of m squares. Normals come from a counter-based generator
@@ -78,9 +81,11 @@ class PdfDerivs:
     d2: float | np.ndarray
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _fields(arr: np.ndarray, f, d1, d2) -> PdfDerivs:
+    """Floats for a 0-d query, arrays otherwise."""
+    if arr.ndim == 0:
+        return PdfDerivs(float(f), float(d1), float(d2))
+    return PdfDerivs(f, d1, d2)
 
 
 def maxwell_pdf_derivs(params: MaxwellParams, x) -> PdfDerivs:
@@ -91,8 +96,8 @@ def maxwell_pdf_derivs(params: MaxwellParams, x) -> PdfDerivs:
     f''(x) = sqrt(2/pi) (x^4 - 5 sigma^2 x^2 + 2 sigma^4)
              exp(-x^2 / (2 sigma^2)) / sigma^7
     """
-    arr, scalar = _as_float_array(x)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    arr = np.asarray(x, dtype=float)
+    if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise ValueError("maxwell_pdf_derivs requires finite x >= 0")
     s2 = params.sigma * params.sigma
     expo = np.exp(-arr * arr / (2.0 * s2))
@@ -100,9 +105,7 @@ def maxwell_pdf_derivs(params: MaxwellParams, x) -> PdfDerivs:
     f = base * arr * arr / params.sigma**3
     d1 = -base * arr * (arr * arr - 2.0 * s2) / params.sigma**5
     d2 = base * (arr**4 - 5.0 * s2 * arr * arr + 2.0 * s2 * s2) / params.sigma**7
-    if scalar:
-        return PdfDerivs(float(f), float(d1), float(d2))
-    return PdfDerivs(f, d1, d2)
+    return _fields(arr, f, d1, d2)
 
 
 def chi_square_pdf_derivs(params: ChiSquareParams, x) -> PdfDerivs:
@@ -112,8 +115,8 @@ def chi_square_pdf_derivs(params: ChiSquareParams, x) -> PdfDerivs:
     a = m/2 - 1:  f' = f (a/x - 1/2),  f'' = f ((a/x - 1/2)^2 - a/x^2).
     Requires x > 0 (derivatives blow up at the origin for small m).
     """
-    arr, scalar = _as_float_array(x)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    arr = np.asarray(x, dtype=float)
+    if not ((arr > 0.0) & (arr < np.inf)).all():
         raise ValueError("chi_square_pdf_derivs requires finite x > 0")
     half_m = 0.5 * params.m
     a = half_m - 1.0
@@ -122,39 +125,35 @@ def chi_square_pdf_derivs(params: ChiSquareParams, x) -> PdfDerivs:
     ratio = a / arr - 0.5
     d1 = f * ratio
     d2 = f * (ratio * ratio - a / (arr * arr))
-    if scalar:
-        return PdfDerivs(float(f), float(d1), float(d2))
-    return PdfDerivs(f, d1, d2)
+    return _fields(arr, f, d1, d2)
 
 
 @dataclass(frozen=True)
 class ReferenceDensity:
-    """Bundle of callables the bandwidth selectors and the harness consume."""
+    """One closed-form derivs(x) -> PdfDerivs; pdf, d1 and d2 are its fields."""
 
     label: str
-    pdf: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    derivs: Callable[[np.ndarray], PdfDerivs]
+
+    def pdf(self, x):
+        return self.derivs(x).f
+
+    def d1(self, x):
+        return self.derivs(x).d1
+
+    def d2(self, x):
+        return self.derivs(x).d2
 
 
+# The lambdas look the closed form up per call, so a replaced module attribute is used.
 def maxwell_reference(sigma: float = 1.0) -> ReferenceDensity:
     params = MaxwellParams(sigma=sigma)
-    return ReferenceDensity(
-        label=params.label,
-        pdf=lambda x: maxwell_pdf_derivs(params, x).f,
-        d1=lambda x: maxwell_pdf_derivs(params, x).d1,
-        d2=lambda x: maxwell_pdf_derivs(params, x).d2,
-    )
+    return ReferenceDensity(params.label, lambda x: maxwell_pdf_derivs(params, x))
 
 
 def chi_square_reference(m: int) -> ReferenceDensity:
     params = ChiSquareParams(m=m)
-    return ReferenceDensity(
-        label=params.label,
-        pdf=lambda x: chi_square_pdf_derivs(params, x).f,
-        d1=lambda x: chi_square_pdf_derivs(params, x).d1,
-        d2=lambda x: chi_square_pdf_derivs(params, x).d2,
-    )
+    return ReferenceDensity(params.label, lambda x: chi_square_pdf_derivs(params, x))
 
 
 def reference_for(params: MaxwellParams | ChiSquareParams) -> ReferenceDensity:

@@ -41,7 +41,7 @@ from gammakde.harness import (
 )
 from gammakde.kernels import kernel_value, kernel_x_derivative
 from gammakde.numerics import integrate_semi_infinite
-from gammakde.refdens import MaxwellParams, ReferenceDensity, maxwell_reference
+from gammakde.refdens import MaxwellParams, PdfDerivs, ReferenceDensity, maxwell_reference
 from gammakde.specfun import digamma, log_gamma, stirling_ratio
 
 from oracles import minimize_scalar
@@ -78,10 +78,12 @@ def test_criterion_02_boundary_coefficient_exactly_minus_one_twelfth():
     # with f' == 1 and f'' == 0 the boundary bias at kappa = 2 is the bare
     # slope coefficient, which must be exactly -1/12
     unit_slope = ReferenceDensity(
-        label="unit-slope",
-        pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        "unit-slope",
+        lambda x: PdfDerivs(
+            f=np.ones_like(np.asarray(x, dtype=float)),
+            d1=np.ones_like(np.asarray(x, dtype=float)),
+            d2=np.zeros_like(np.asarray(x, dtype=float)),
+        ),
     )
     got = bias_boundary(unit_slope, 0.05, 2.0)
     ok = got == -1.0 / 12.0

@@ -28,12 +28,18 @@ from gammakde.asymptotics import (
     squared_kernel_constant,
     variance_leading,
 )
+from gammakde import numerics, refdens
 from gammakde.numerics import (
     DegenerateIntegralError,
     IntegrationError,
     NoRootError,
 )
-from gammakde.refdens import ReferenceDensity, chi_square_reference, maxwell_reference
+from gammakde.refdens import (
+    PdfDerivs,
+    ReferenceDensity,
+    chi_square_reference,
+    maxwell_reference,
+)
 
 from conftest import rel_err
 from oracles import minimize_scalar, refined_scan, squared_kernel_constant_stirling
@@ -49,12 +55,7 @@ BETA_CHEN = 2.9796262381115879
 
 
 def synthetic_reference(pdf, d1, d2, label="synthetic"):
-    return ReferenceDensity(
-        label=label,
-        pdf=pdf,
-        d1=d1,
-        d2=d2,
-    )
+    return ReferenceDensity(label, lambda x: PdfDerivs(pdf(x), d1(x), d2(x)))
 
 
 EXP_REF = synthetic_reference(
@@ -273,6 +274,63 @@ class TestGlobalIntegrals:
             "the integral diverges at the origin",
             str(exc_info.value),
         )
+
+
+# The distributions of the benchmark's selector sweep.
+SWEEP_REFERENCES = [maxwell_reference(s) for s in (0.1, 1.0, 10.0)] + [
+    chi_square_reference(m) for m in (3, 4, 6, 10, 50)
+]
+
+
+class TestOneClosedFormEvaluationPerCall:
+    """Every integrand and pointwise formula evaluates ref.derivs exactly once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"closed_form": 0, "integrand": 0}
+        for name in ("maxwell_pdf_derivs", "chi_square_pdf_derivs"):
+            closed_form = getattr(refdens, name)
+
+            def counted(params, x, closed_form=closed_form):
+                counts["closed_form"] += 1
+                return closed_form(params, x)
+
+            monkeypatch.setattr(refdens, name, counted)
+        quad = numerics.integrate_semi_infinite
+
+        def counting_quad(g, *args, **kwargs):
+            def counted_g(t):
+                counts["integrand"] += 1
+                return g(t)
+
+            return quad(counted_g, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate_semi_infinite", counting_quad)
+        return counts
+
+    @pytest.mark.parametrize("ref", SWEEP_REFERENCES, ids=lambda r: r.label)
+    def test_bandwidth_report(self, counts, ref):
+        for n in (200, 2000):
+            try:
+                bandwidth_report(ref, n)
+            except (IntegrationError, NoRootError):
+                pass  # the sweep's known failures; the calls made still count
+        assert counts["integrand"] > 0
+        assert counts["closed_form"] == counts["integrand"]
+
+    def test_pointwise(self, counts):
+        ref = maxwell_reference()
+        for fn, args in [
+            (curvature_term, (1.0,)),
+            (curvature_term, (np.linspace(0.5, 2.0, 4),)),
+            (bias_interior, (1.0, 0.1)),
+            (bias_boundary, (0.1, 1.5)),
+            (variance_leading, (1.0, 0.1, 200)),
+            (pointwise_optimal, (1.0, 200)),
+        ]:
+            before = counts["closed_form"]
+            fn(ref, *args)
+            assert counts["closed_form"] - before == 1, fn.__name__
 
 
 class TestMiseAndSelectors:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gammakde import numerics
 from gammakde.asymptotics import curvature_term
@@ -113,6 +115,65 @@ def test_one_integrand_call_per_bisection():
     with pytest.raises(IntegrationError, match="diverges at the origin"):
         integrate_semi_infinite(g, 1e-10)
     assert (len(sizes), sum(sizes)) == (512, 15255)
+
+
+def _bounds(start, widths):
+    """Adjacent panels (a, b) from start with the given widths."""
+    edges = [start]
+    for w in widths:
+        edges.append(edges[-1] + w)
+    return tuple(zip(edges[:-1], edges[1:]))
+
+
+_PANEL_BOUNDS = st.builds(
+    _bounds,
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bounds=_PANEL_BOUNDS,
+    bad_panels=st.sets(st.integers(0, 5), min_size=1),
+    node=st.integers(0, 14),
+    bad_value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_panels_name_the_first_non_finite_panel(bounds, bad_panels, node, bad_value):
+    bad_panels = sorted(i for i in bad_panels if i < len(bounds))
+    assume(bad_panels)
+
+    def g(t):
+        v = np.exp(-t).reshape(len(bounds), -1)
+        v[bad_panels, node] = bad_value
+        return v.ravel()
+
+    with pytest.raises(IntegrationError) as exc_info:
+        numerics._panels(g, bounds)
+    a, b = bounds[bad_panels[0]]
+    want = f"integrand returned a non-finite value on ({a!r}, {b!r})"
+    if a == 0.0 and b < 0.5:
+        want += "; the integral diverges at the origin"
+    assert str(exc_info.value) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    bounds=_PANEL_BOUNDS,
+    reshape=st.sampled_from(["drop one", "add one", "one row per panel", "scalar"]),
+)
+def test_panels_reject_a_wrong_shape(bounds, reshape):
+    def g(t):
+        v = np.exp(-t)
+        return {
+            "drop one": v[:-1],
+            "add one": np.append(v, 1.0),
+            "one row per panel": v.reshape(len(bounds), -1),
+            "scalar": v[0],
+        }[reshape]
+
+    with pytest.raises(ValueError, match="same-shape values"):
+        numerics._panels(g, bounds)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, 1e-14, 0.5, 1.0])
