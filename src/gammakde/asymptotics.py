@@ -90,9 +90,7 @@ def curvature_term(ref: ReferenceDensity, x) -> float | np.ndarray:
     if not ((arr > 0.0) & (arr < np.inf)).all():
         raise ValueError("curvature_term requires finite x > 0")
     out = _curvature(ref.derivs(arr), arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def bias_interior(ref: ReferenceDensity, x: float, b: float) -> float:

@@ -9,10 +9,10 @@ domain error. Integrands must accept numpy arrays.
 
 Cost model: each bisection of the worst panel makes one integrand call, on
 the 30 nodes of its two halves (the two unit-interval panels share one call
-too, and each tail panel has its own). The running totals of the live
+too, and each tail panel has its own), then one finiteness check over all
+values and two dot products per panel. The running totals of the live
 panels' values and error estimates are exact, so a bisection adds and
-removes O(1) terms instead of re-summing every panel: P panels cost O(P),
-and each total is rounded once when read, to the bits math.fsum would give.
+removes O(1) terms: P panels cost O(P), and a total is rounded once per read.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ _BREAKPOINTS = (0.0, 0.5, 1.0)  # initial panels of the unit interval
 _TAIL_CUTOFF = 1e-14  # panel mass below this fraction of the total ends the tail
 _MAX_TAIL_DOUBLINGS = 64
 _MAX_EVALS = 1_000_000  # integrand evaluations per integral
-# The budget allows fewer than 2**17 panels, so sums of terms below 2**1000
-# (and math.fsum's partials) stay below 2**1017, inside the float range.
-_EXACT_LIMIT = 2.0**1000
 _UNITS_PER_ONE = 1 << 1074  # exact running totals count multiples of 2**-1074
 
 
@@ -127,57 +124,59 @@ class NoRootError(RuntimeError):
 def _panels(g: Callable[[np.ndarray], np.ndarray], bounds):
     """Gauss-Kronrod (value, error) on each panel (a, b) of bounds, in order.
 
-    One call of g evaluates the nodes of every panel. A non-finite value
-    anywhere is traced to the first panel holding one, which is the one named.
+    One call of g evaluates the nodes of every panel. A non-finite value, or
+    a panel sum past the float range, raises naming the first such panel;
+    overflow is reported that way, not warned about.
     """
     centers = np.array([0.5 * (a + b) for a, b in bounds])
     halves = [0.5 * (b - a) for a, b in bounds]
     nodes = (centers[:, None] + np.array(halves)[:, None] * _KRONROD_NODES).ravel()
-    # overflow to inf is caught by the finiteness check below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(g(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError("integrand must map an array of points to same-shape values")
-    vals = vals.reshape(len(bounds), -1)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        a, b = bounds[int(finite.all(axis=1).argmin())]
-        message = f"integrand returned a non-finite value on ({a!r}, {b!r})"
-        if a == 0.0 and b < _BREAKPOINTS[1]:
-            # finite on the wider panel this one was bisected from
-            message += "; the integral diverges at the origin"
-        raise IntegrationError(message)
-    scores = []
-    for half, v in zip(halves, vals):
-        kronrod = half * float(_KRONROD_WEIGHTS @ v)
-        gauss = half * float(_GAUSS_WEIGHTS @ v[1::2])
-        scores.append((kronrod, abs(kronrod - gauss)))
+        if vals.shape != nodes.shape:
+            raise ValueError(
+                "integrand must map an array of points to same-shape values"
+            )
+        vals = vals.reshape(len(bounds), -1)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            a, b = bounds[int(finite.all(axis=1).argmin())]
+            message = f"integrand returned a non-finite value on ({a!r}, {b!r})"
+            if a == 0.0 and b < _BREAKPOINTS[1]:
+                # finite on the wider panel this one was bisected from
+                message += "; the integral diverges at the origin"
+            raise IntegrationError(message)
+        scores = []
+        for (a, b), half, v in zip(bounds, halves, vals):
+            kronrod = half * float(_KRONROD_WEIGHTS @ v)
+            err = abs(kronrod - half * float(_GAUSS_WEIGHTS @ v[1::2]))
+            if not math.isfinite(err):
+                raise IntegrationError(f"quadrature sum overflows on ({a!r}, {b!r})")
+            scores.append((kronrod, err))
     return scores
 
 
 class _RunningSum:
-    """Exact running sum of floats, rounded once when read, as math.fsum does.
+    """Exact running sum of finite floats, rounded once when read.
 
     Terms are held as integer multiples of 2**-1074, the smallest subnormal,
     so adding or removing one is exact and int / int rounds the total
-    correctly. A term that is not finite, or not below 2**1000, is only
-    counted; while one is in the sum, read() falls back to math.fsum over
-    the terms, with its own handling of inf, nan and overflow.
+    correctly, to the bits math.fsum would give. A total beyond the float
+    range raises IntegrationError.
     """
 
     def __init__(self):
         self.units = 0
-        self.outside = 0
 
     def add(self, x: float, sign: int = 1) -> None:
-        if abs(x) < _EXACT_LIMIT:
-            num, den = x.as_integer_ratio()
-            self.units += sign * (num << (1075 - den.bit_length()))
-        else:
-            self.outside += sign
+        num, den = x.as_integer_ratio()
+        self.units += sign * (num << (1075 - den.bit_length()))
 
-    def read(self, terms) -> float:
-        return math.fsum(terms) if self.outside else self.units / _UNITS_PER_ONE
+    def read(self) -> float:
+        try:
+            return self.units / _UNITS_PER_ONE
+        except OverflowError:
+            raise IntegrationError("the sum over the panels overflows") from None
 
 
 def integrate_semi_infinite(
@@ -203,9 +202,6 @@ def integrate_semi_infinite(
     QuadratureResult
         The abs_error_estimate is the sum of panel |Kronrod - Gauss| gaps,
         which in practice over-covers the true error by orders of magnitude.
-        Both totals are kept exactly as panels come and go and rounded once
-        when read, so refining to P panels costs O(P) bookkeeping. Each
-        bisection makes one call of g on the 30 nodes of both halves.
 
     Raises
     ------
@@ -214,7 +210,8 @@ def integrate_semi_infinite(
         non-integrable endpoint singularity), with the partial result attached.
         A non-finite integrand value carries no partial result; when it
         appears only as bisection narrows a panel onto 0, the message says
-        that the integral diverges at the origin.
+        that the integral diverges at the origin. A panel sum or a total
+        that overflows the float range raises with no partial result too.
     """
     if not 1e-13 < rel_tol < 1e-2:
         raise ValueError(f"rel_tol must lie in (1e-13, 1e-2), got {rel_tol!r}")
@@ -236,9 +233,6 @@ def integrate_semi_infinite(
             errors.add(err)
         return value, err
 
-    def totals() -> tuple[float, float]:
-        return values.read(p[3] for p in panels), errors.read(-p[0] for p in panels)
-
     push(*zip(_BREAKPOINTS[:-1], _BREAKPOINTS[1:]))
 
     # Extend dyadic tail panels until two in a row are negligible.
@@ -249,11 +243,11 @@ def integrate_semi_infinite(
         if doublings >= _MAX_TAIL_DOUBLINGS:
             raise IntegrationError(
                 "tail of the integrand does not decay; integral looks divergent",
-                QuadratureResult(*totals(), evals),
+                QuadratureResult(values.read(), errors.read(), evals),
             )
         tail_hi = 2.0 * tail_lo
         value, err = push((tail_lo, tail_hi))
-        total = values.read(p[3] for p in panels)
+        total = values.read()
         threshold = max(_TAIL_CUTOFF * abs(total), abs_tol * _TAIL_CUTOFF)
         if abs(value) <= threshold and err <= max(threshold, 1e-300):
             quiet += 1
@@ -262,7 +256,7 @@ def integrate_semi_infinite(
         tail_lo = tail_hi
         doublings += 1
 
-    value, err = totals()
+    value, err = values.read(), errors.read()
     while err > max(rel_tol * abs(value), abs_tol):
         if evals + 2 * _KRONROD_NODES.size > _MAX_EVALS:
             raise IntegrationError(
@@ -280,7 +274,7 @@ def integrate_semi_infinite(
                 QuadratureResult(value, err, evals),
             )
         push((a, mid), (mid, b))
-        value, err = totals()
+        value, err = values.read(), errors.read()
 
     return QuadratureResult(value, err, evals)
 

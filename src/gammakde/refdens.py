@@ -3,10 +3,8 @@
 Two families are provided: the Maxwell distribution (speed of an isotropic
 3-D Gaussian vector) and the chi-square family. Both expose the density and
 its first two derivatives in closed form, which the plug-in bandwidth
-machinery consumes directly.
-
-Cost model: `ReferenceDensity.derivs` is one closed-form evaluation giving
-f, f' and f'' together; `pdf`, `d1` and `d2` are views that each cost one.
+machinery consumes directly. Cost model: ReferenceDensity.derivs is one
+closed-form evaluation of f, f' and f''; its views pdf, d1 and d2 cost one each.
 
 Sampling reduces everything to standard normals: a Maxwell draw is the norm
 of three of them scaled by sigma, and a chi-square draw with m degrees of

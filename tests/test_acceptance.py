@@ -41,7 +41,12 @@ from gammakde.harness import (
 )
 from gammakde.kernels import kernel_value, kernel_x_derivative
 from gammakde.numerics import integrate_semi_infinite
-from gammakde.refdens import MaxwellParams, PdfDerivs, ReferenceDensity, maxwell_reference
+from gammakde.refdens import (
+    MaxwellParams,
+    PdfDerivs,
+    ReferenceDensity,
+    maxwell_reference,
+)
 from gammakde.specfun import digamma, log_gamma, stirling_ratio
 
 from oracles import minimize_scalar

@@ -1,6 +1,7 @@
 """Quadrature, root finding, minimization, finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ def test_origin_divergence_is_named():
     with pytest.raises(IntegrationError) as exc_info:
         integrate_semi_infinite(lambda x: np.full_like(x, np.inf), 1e-8)
     assert str(exc_info.value) == "integrand returned a non-finite value on (0.0, 0.5)"
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        # every value is finite, but a panel's Kronrod sum is not
+        (
+            lambda x: np.where(x < 3.0, 1e308, 0.0),
+            "quadrature sum overflows on (0.0, 0.5)",
+        ),
+        # every panel sum is finite, but their total is not
+        (lambda x: np.full_like(x, 1e300), "the sum over the panels overflows"),
+    ],
+)
+def test_overflowing_sums_raise_integration_error(g, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as exc_info:
+            integrate_semi_infinite(g, 1e-8)
+    assert str(exc_info.value) == message
+    assert exc_info.value.partial is None
 
 
 def _counting(g):

@@ -10,7 +10,7 @@ The lines cover:
 - direct integrands at four tolerances, with and without abs_tol. Among them
   are integrable and non-integrable endpoint singularities, a divergent tail,
   non-finite values at the origin and in the tail, subnormal and near-overflow
-  panel values.
+  panel values, and panel sums and totals that overflow.
 
 A change that is meant to move these results regenerates the file with
 
@@ -63,6 +63,7 @@ INTEGRANDS = {
     "inf everywhere": lambda x: np.full_like(x, np.inf),
     "exp(x) (overflows in the tail)": lambda x: np.exp(x),
     "1e307 on (0, 3) (near overflow)": lambda x: np.where(x < 3.0, 1e307, 0.0),
+    "1e308 on (0, 3) (panel sum overflows)": lambda x: np.where(x < 3.0, 1e308, 0.0),
     "1e300 everywhere (total overflows)": lambda x: np.full_like(x, 1e300),
 }
 REL_TOLS = (1e-6, 1e-8, 1e-10, 1e-12)

@@ -139,10 +139,10 @@ _FAMILIES = st.one_of(
 @given(params=_FAMILIES, x=st.one_of(_POSITIVE, _float_arrays(_POSITIVE)))
 def test_views_are_the_fields_of_one_closed_form(params, x):
     ref = reference_for(params)
-    closed_form = (
-        maxwell_pdf_derivs if isinstance(params, MaxwellParams) else chi_square_pdf_derivs
-    )
-    want = closed_form(params, x)
+    if isinstance(params, MaxwellParams):
+        want = maxwell_pdf_derivs(params, x)
+    else:
+        want = chi_square_pdf_derivs(params, x)
     got = ref.derivs(x)
     for view, got_field, want_field in [
         (ref.pdf, got.f, want.f),
@@ -151,8 +151,8 @@ def test_views_are_the_fields_of_one_closed_form(params, x):
     ]:
         value = view(x)
         assert type(value) is (float if np.ndim(x) == 0 else np.ndarray)
-        bits = np.asarray(value).tobytes()
-        assert bits == np.asarray(got_field).tobytes() == np.asarray(want_field).tobytes()
+        bits = [np.asarray(v).tobytes() for v in (value, got_field, want_field)]
+        assert bits[0] == bits[1] == bits[2]
 
 
 # Each domain check against the two-reduction form it replaced, with the
