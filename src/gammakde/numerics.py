@@ -13,6 +13,15 @@ too, and each tail panel has its own), then one finiteness check over all
 values and two dot products per panel. The running totals of the live
 panels' values and error estimates are exact, so a bisection adds and
 removes O(1) terms: P panels cost O(P), and a total is rounded once per read.
+
+Divergence at the origin costs a few bisections, not a run to overflow: if
+g ~ x^p near 0, each halving of the panel (0, h) scales its Kronrod value by
+2^-(p+1), which is at least 1 exactly when the integral diverges. Eight
+halvings in a row that grow it by a steady ratio end the quadrature: x^p e^-x
+for p = -1, -1.5 and -3 stops after 22, 20 and 16 integrand calls. A ratio
+that is not steady, as while bisection is still above the scale of a sharp
+peak, never counts. An integrable x^p with p just above -1 still halves until
+it overflows near 0, in about 1,000 calls.
 """
 
 from __future__ import annotations
@@ -89,6 +98,10 @@ _BREAKPOINTS = (0.0, 0.5, 1.0)  # initial panels of the unit interval
 _TAIL_CUTOFF = 1e-14  # panel mass below this fraction of the total ends the tail
 _MAX_TAIL_DOUBLINGS = 64
 _MAX_EVALS = 1_000_000  # integrand evaluations per integral
+# An origin panel that grows by a steady ratio as it halves proves divergence.
+_GROWTH_FLOOR = 1.0  # least growth of the panel's value per halving
+_STEADY_TOL = 1e-3  # relative change allowed between consecutive ratios
+_STEADY_HALVINGS = 8  # steady growing halvings in a row
 _UNITS_PER_ONE = 1 << 1074  # exact running totals count multiples of 2**-1074
 
 
@@ -144,7 +157,7 @@ def _panels(g: Callable[[np.ndarray], np.ndarray], bounds):
             message = f"integrand returned a non-finite value on ({a!r}, {b!r})"
             if a == 0.0 and b < _BREAKPOINTS[1]:
                 # finite on the wider panel this one was bisected from
-                message += "; the integral diverges at the origin"
+                message += "; the integrand overflows near the origin"
             raise IntegrationError(message)
         scores = []
         for (a, b), half, v in zip(bounds, halves, vals):
@@ -208,10 +221,15 @@ def integrate_semi_infinite(
     IntegrationError
         On non-convergence within 1e6 integrand evaluations (e.g. a
         non-integrable endpoint singularity), with the partial result attached.
-        A non-finite integrand value carries no partial result; when it
-        appears only as bisection narrows a panel onto 0, the message says
-        that the integral diverges at the origin. A panel sum or a total
-        that overflows the float range raises with no partial result too.
+        Divergence at the origin raises with no partial result and a message
+        that ends "the integral diverges at the origin", naming the panel
+        (0, h) that kept growing by a steady ratio as it halved. A
+        non-finite integrand value carries no partial result either; when
+        it appears only as bisection narrows a panel onto 0, with no such
+        growth seen, the message ends "the integrand overflows near the
+        origin": the integral may well be finite, as for x^-0.99. A panel
+        sum or a total that overflows the float range raises with no
+        partial result too.
     """
     if not 1e-13 < rel_tol < 1e-2:
         raise ValueError(f"rel_tol must lie in (1e-13, 1e-2), got {rel_tol!r}")
@@ -223,15 +241,16 @@ def integrate_semi_infinite(
     panels: list[tuple[float, float, float, float]] = []
     values, errors = _RunningSum(), _RunningSum()
 
-    def push(*bounds: tuple[float, float]) -> tuple[float, float]:
-        """Score the panels in one call of g; returns the last (value, err)."""
+    def push(*bounds: tuple[float, float]) -> list[tuple[float, float]]:
+        """Score the panels in one call of g; returns each (value, err)."""
         nonlocal evals
-        for (a, b), (value, err) in zip(bounds, _panels(g, bounds)):
+        scores = _panels(g, bounds)
+        for (a, b), (value, err) in zip(bounds, scores):
             evals += _KRONROD_NODES.size
             heapq.heappush(panels, (-err, a, b, value))
             values.add(value)
             errors.add(err)
-        return value, err
+        return scores
 
     push(*zip(_BREAKPOINTS[:-1], _BREAKPOINTS[1:]))
 
@@ -246,7 +265,7 @@ def integrate_semi_infinite(
                 QuadratureResult(values.read(), errors.read(), evals),
             )
         tail_hi = 2.0 * tail_lo
-        value, err = push((tail_lo, tail_hi))
+        [(value, err)] = push((tail_lo, tail_hi))
         total = values.read()
         threshold = max(_TAIL_CUTOFF * abs(total), abs_tol * _TAIL_CUTOFF)
         if abs(value) <= threshold and err <= max(threshold, 1e-300):
@@ -257,6 +276,8 @@ def integrate_semi_infinite(
         doublings += 1
 
     value, err = values.read(), errors.read()
+    ratio = math.nan  # growth of the origin panel at its last halving
+    steady = 0
     while err > max(rel_tol * abs(value), abs_tol):
         if evals + 2 * _KRONROD_NODES.size > _MAX_EVALS:
             raise IntegrationError(
@@ -273,7 +294,18 @@ def integrate_semi_infinite(
                 "integrand is too singular for the requested tolerance",
                 QuadratureResult(value, err, evals),
             )
-        push((a, mid), (mid, b))
+        [(left, _), _] = push((a, mid), (mid, b))
+        if a == 0.0:
+            last, ratio = ratio, (abs(left) / abs(worst) if worst else math.nan)
+            if ratio >= _GROWTH_FLOOR and abs(ratio - last) <= _STEADY_TOL * last:
+                steady += 1
+            else:
+                steady = 0
+            if steady == _STEADY_HALVINGS:
+                raise IntegrationError(
+                    f"the panel on (0.0, {mid!r}) grows as it halves; "
+                    "the integral diverges at the origin"
+                )
         value, err = values.read(), errors.read()
 
     return QuadratureResult(value, err, evals)

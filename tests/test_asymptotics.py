@@ -215,6 +215,31 @@ class TestSquaredKernelConstant:
             squared_kernel_constant(1.0, -0.1)
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of closed-form evaluations and of integrand calls."""
+    counts = {"closed_form": 0, "integrand": 0}
+    for name in ("maxwell_pdf_derivs", "chi_square_pdf_derivs"):
+        closed_form = getattr(refdens, name)
+
+        def counted(params, x, closed_form=closed_form):
+            counts["closed_form"] += 1
+            return closed_form(params, x)
+
+        monkeypatch.setattr(refdens, name, counted)
+    quad = numerics.integrate_semi_infinite
+
+    def counting_quad(g, *args, **kwargs):
+        def counted_g(t):
+            counts["integrand"] += 1
+            return g(t)
+
+        return quad(counted_g, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_semi_infinite", counting_quad)
+    return counts
+
+
 class TestGlobalIntegrals:
     def test_maxwell_frozen(self, maxwell_integrals):
         assert rel_err(maxwell_integrals.curvature, I_CURVATURE) < 1e-9
@@ -264,16 +289,25 @@ class TestGlobalIntegrals:
             chen_constants(chi_square_reference(3))
 
     @pytest.mark.parametrize("m", [3, 4, 5])
-    def test_origin_divergence_is_named(self, m):
-        # Quadrature bisects toward 0 until the integrand overflows there.
+    def test_origin_divergence_is_named(self, counts, m):
+        # The curvature integral's origin panel grows by a steady ratio as
+        # bisection halves it, which stops the quadrature after a few calls.
         with pytest.raises(IntegrationError) as exc_info:
             bandwidth_report(chi_square_reference(m), 200)
         assert type(exc_info.value) is IntegrationError
         assert re.fullmatch(
-            r"integrand returned a non-finite value on \(0\.0, \d\.\d+e-\d+\); "
+            r"the panel on \(0\.0, [\d.e-]+\) grows as it halves; "
             "the integral diverges at the origin",
             str(exc_info.value),
         )
+        assert counts["integrand"] <= 32
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3])
+    def test_maxwell_integrals_never_look_divergent(self, sigma):
+        # The origin panel grows while bisection is above the scale sigma,
+        # but by a changing ratio, so the divergence rule must not fire.
+        mise_integrals(maxwell_reference(sigma))
+        chen_constants(maxwell_reference(sigma))
 
 
 # The distributions of the benchmark's selector sweep.
@@ -284,29 +318,6 @@ SWEEP_REFERENCES = [maxwell_reference(s) for s in (0.1, 1.0, 10.0)] + [
 
 class TestOneClosedFormEvaluationPerCall:
     """Every integrand and pointwise formula evaluates ref.derivs exactly once."""
-
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"closed_form": 0, "integrand": 0}
-        for name in ("maxwell_pdf_derivs", "chi_square_pdf_derivs"):
-            closed_form = getattr(refdens, name)
-
-            def counted(params, x, closed_form=closed_form):
-                counts["closed_form"] += 1
-                return closed_form(params, x)
-
-            monkeypatch.setattr(refdens, name, counted)
-        quad = numerics.integrate_semi_infinite
-
-        def counting_quad(g, *args, **kwargs):
-            def counted_g(t):
-                counts["integrand"] += 1
-                return g(t)
-
-            return quad(counted_g, *args, **kwargs)
-
-        monkeypatch.setattr(numerics, "integrate_semi_infinite", counting_quad)
-        return counts
 
     @pytest.mark.parametrize("ref", SWEEP_REFERENCES, ids=lambda r: r.label)
     def test_bandwidth_report(self, counts, ref):

@@ -1,6 +1,7 @@
 """Quadrature, root finding, minimization, finite differences."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from gammakde.kernels import kernel_x_derivative
 from gammakde.numerics import (
     IntegrationError,
     NoRootError,
+    QuadratureResult,
     find_root,
     integrate_semi_infinite,
 )
@@ -81,9 +83,18 @@ def test_nonfinite_integrand_fails_loudly():
 
 
 def test_origin_divergence_is_named():
-    # finite on (0, 0.5) at first, then overflowing as bisection nears 0
+    # the origin panel's value grows by a steady 2^0.5 per halving
     with pytest.raises(IntegrationError, match=r"on \(0\.0, .*diverges at the origin$"):
         integrate_semi_infinite(lambda x: x**-1.5 * np.exp(-x), 1e-8)
+    # x^-0.99 is integrable (Gamma(0.01) ~ 99.43), but its origin panel
+    # shrinks by only 2^-0.01 per halving, so bisection reaches a subnormal
+    # panel, where the integrand overflows, before the target is met.
+    with pytest.raises(IntegrationError) as exc_info:
+        integrate_semi_infinite(lambda x: x**-0.99 * np.exp(-x), 1e-10)
+    assert str(exc_info.value) == (
+        "integrand returned a non-finite value on (0.0, 6.953355807835e-310); "
+        "the integrand overflows near the origin"
+    )
     # not finite anywhere: nothing points at the origin
     with pytest.raises(IntegrationError) as exc_info:
         integrate_semi_infinite(lambda x: np.full_like(x, np.inf), 1e-8)
@@ -130,13 +141,44 @@ def test_one_integrand_call_per_bisection():
     r = integrate_semi_infinite(g, 1e-10)
     assert (len(sizes), sum(sizes), r.evaluations) == (9, 195, 195)
 
-    # 1 + 7 calls, 503 full bisections and the one whose left half fails;
-    # that last call evaluates the right half too (15 points).
+    # 1 + 7 calls, then 13 halvings of the origin panel, the last 8 of which
+    # grow it by a steady ratio.
     ref = chi_square_reference(4)
     g, sizes = _counting(lambda t: curvature_term(ref, t))
     with pytest.raises(IntegrationError, match="diverges at the origin"):
         integrate_semi_infinite(g, 1e-10)
-    assert (len(sizes), sum(sizes)) == (512, 15255)
+    assert (len(sizes), sum(sizes)) == (21, 525)
+
+
+@pytest.mark.parametrize(
+    "p, want, calls",
+    [
+        (-0.5, (1.7724538508453482, 1.4329019072086885e-10, 1875), 66),
+        (-0.9, (9.51350769543415, 9.307817269951287e-10, 9255), 312),
+    ],
+)
+def test_integrable_origin_singularity_keeps_its_bits(p, want, calls):
+    # x^p with p > -1 shrinks the origin panel as it halves, so the
+    # divergence rule never fires and bisection runs to convergence.
+    g, sizes = _counting(lambda x: x**p * np.exp(-x))
+    assert integrate_semi_infinite(g, 1e-10) == QuadratureResult(*want)
+    assert len(sizes) == calls
+
+
+@pytest.mark.parametrize("p", [-1.0, -1.5, -3.0])
+def test_divergence_at_the_origin_stops_early(p):
+    # x^p with p <= -1 grows the origin panel by 2^-(p+1) >= 1 per halving.
+    g, sizes = _counting(lambda x: x**p * np.exp(-x))
+    with pytest.raises(IntegrationError) as exc_info:
+        integrate_semi_infinite(g, 1e-10)
+    assert type(exc_info.value) is IntegrationError
+    assert exc_info.value.partial is None
+    assert re.fullmatch(
+        r"the panel on \(0\.0, [\d.e-]+\) grows as it halves; "
+        "the integral diverges at the origin",
+        str(exc_info.value),
+    )
+    assert len(sizes) <= 32
 
 
 def _bounds(start, widths):
@@ -175,7 +217,7 @@ def test_panels_name_the_first_non_finite_panel(bounds, bad_panels, node, bad_va
     a, b = bounds[bad_panels[0]]
     want = f"integrand returned a non-finite value on ({a!r}, {b!r})"
     if a == 0.0 and b < 0.5:
-        want += "; the integral diverges at the origin"
+        want += "; the integrand overflows near the origin"
     assert str(exc_info.value) == want
 
 

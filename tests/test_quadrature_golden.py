@@ -8,7 +8,8 @@ The lines cover:
   and chi-square references across scales, with their outcomes and the
   bandwidth_report outcomes at n = 200 and 2000;
 - direct integrands at four tolerances, with and without abs_tol. Among them
-  are integrable and non-integrable endpoint singularities, a divergent tail,
+  are integrable and non-integrable endpoint singularities (x^-1 at the
+  border of divergence, x^-0.99 just inside it), a divergent tail,
   non-finite values at the origin and in the tail, subnormal and near-overflow
   panel values, and panel sums and totals that overflow.
 
@@ -60,6 +61,8 @@ INTEGRANDS = {
     "1e-310 exp(-x) (subnormal)": lambda x: 1e-310 * np.exp(-x),
     "1/x (divergent tail)": lambda x: 1.0 / x,
     "x^-1.5 exp(-x) (divergent at 0)": lambda x: x**-1.5 * np.exp(-x),
+    "x^-1 exp(-x) (divergent at 0)": lambda x: x**-1.0 * np.exp(-x),
+    "x^-0.99 exp(-x) (integrable, overflows at 0)": lambda x: x**-0.99 * np.exp(-x),
     "inf everywhere": lambda x: np.full_like(x, np.inf),
     "exp(x) (overflows in the tail)": lambda x: np.exp(x),
     "1e307 on (0, 3) (near overflow)": lambda x: np.where(x < 3.0, 1e307, 0.0),
