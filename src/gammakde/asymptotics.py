@@ -15,8 +15,11 @@ bandwidth selectors:
 Bandwidth powers follow from balancing squared bias O(b^2) against variance
 O(n^-1 b^-3/2): the optimum scales as n^(-2/7) and the MSE there as n^(-4/7).
 
-Cost model: each pointwise formula and each quadrature integrand call makes
-one closed-form evaluation, ref.derivs, whichever of f, f' and f'' it reads.
+Cost model: each pointwise formula makes one closed-form evaluation,
+ref.derivs, whichever of f, f' and f'' it reads. The global integrals of a
+built-in reference (ref.params set) are closed-form Gamma sums and call no
+integrand; any other reference is integrated by quadrature, with one
+ref.derivs evaluation per integrand call.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .refdens import PdfDerivs, ReferenceDensity
+from .refdens import PdfDerivs, ReferenceDensity, _selector_integrals
 from .specfun import log_gamma
 
 __all__ = [
@@ -243,7 +246,14 @@ def _integral(g) -> float:
 
 
 def mise_integrals(ref: ReferenceDensity) -> MiseIntegrals:
-    """Evaluate the global integrals; diverging ones raise IntegrationError."""
+    """Evaluate the global integrals; diverging ones raise IntegrationError.
+
+    A built-in reference uses its closed forms, any other one quadrature.
+    """
+    if ref.params is not None:
+        return MiseIntegrals(
+            *_selector_integrals(ref.params, "curvature", "mass", "correction")
+        )
 
     def correction(t):
         d = ref.derivs(t)
@@ -401,9 +411,15 @@ def chen_constants(ref: ReferenceDensity) -> tuple[float, float]:
 
     V = (1 / (2 sqrt(pi))) integral of x^{-1/2} f(x)
     beta = integral of (x f''(x))^2
+
+    A built-in reference uses its closed forms, any other one quadrature.
     """
-    v = _integral(lambda t: np.sqrt(1.0 / t) * ref.pdf(t)) / (2.0 * _SQRT_PI)
-    return v, _integral(lambda t: (t * ref.d2(t)) ** 2)
+    if ref.params is not None:
+        root_mass, beta = _selector_integrals(ref.params, "root_mass", "beta")
+    else:
+        root_mass = _integral(lambda t: np.sqrt(1.0 / t) * ref.pdf(t))
+        beta = _integral(lambda t: (t * ref.d2(t)) ** 2)
+    return root_mass / (2.0 * _SQRT_PI), beta
 
 
 def _chen_from_constants(v: float, beta: float, n: int) -> float:

@@ -503,7 +503,12 @@ class ConvergenceResult:
 
 
 def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceResult:
-    """Estimate the MISE decay exponent under the plug-in bandwidth."""
+    """Estimate the MISE decay exponent under the plug-in bandwidth.
+
+    A mean ISE that is not positive, as when the density and every estimate
+    vanish on the grid, leaves no log to fit and raises
+    DegenerateIntegralError naming n and the grid.
+    """
     ref = reference_for(cfg.distribution)
     grid = cfg.grid.array()
     truth = np.asarray(ref.d1(grid), dtype=float)
@@ -519,6 +524,13 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     for (i, _, _), (ev,) in zip(ladder, _map_tasks(_replicate, tasks, jobs)):
         sums[i] += _ise(ev.derivative, truth, grid)
     mise = sums / cfg.replications
+    for n, m in zip(cfg.n_list, mise):
+        if not m > 0.0:  # the log-log fit needs every mean ISE positive
+            g = cfg.grid
+            raise numerics.DegenerateIntegralError(
+                f"mean ISE {float(m)!r} at n={n} on the grid ({g.min!r}, {g.max!r}] "
+                f"of {g.points} points; no log-log slope"
+            )
     log_n = np.log(np.asarray(cfg.n_list, dtype=float))
     slope, intercept = np.polyfit(log_n, np.log(mise), 1)
     points = tuple((n, float(m)) for n, m in zip(cfg.n_list, mise))

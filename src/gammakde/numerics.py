@@ -17,11 +17,12 @@ removes O(1) terms: P panels cost O(P), and a total is rounded once per read.
 Divergence at the origin costs a few bisections, not a run to overflow: if
 g ~ x^p near 0, each halving of the panel (0, h) scales its Kronrod value by
 2^-(p+1), which is at least 1 exactly when the integral diverges. Eight
-halvings in a row that grow it by a steady ratio end the quadrature: x^p e^-x
-for p = -1, -1.5 and -3 stops after 22, 20 and 16 integrand calls. A ratio
-that is not steady, as while bisection is still above the scale of a sharp
-peak, never counts. An integrable x^p with p just above -1 still halves until
-it overflows near 0, in about 1,000 calls.
+halvings in a row that grow it by a steady ratio of at least 1 - 1e-4 end the
+quadrature: x^p e^-x for p = -1, -1.5 and -3 stops after 22, 20 and 16
+integrand calls, and c/x + d, whose ratio tends to 1 from below, stops too.
+A ratio that is not steady, as while bisection is still above the scale of a
+sharp peak, never counts. An integrable x^p with p just above -1 still halves
+until it overflows near 0, in about 1,000 calls.
 """
 
 from __future__ import annotations
@@ -99,7 +100,10 @@ _TAIL_CUTOFF = 1e-14  # panel mass below this fraction of the total ends the tai
 _MAX_TAIL_DOUBLINGS = 64
 _MAX_EVALS = 1_000_000  # integrand evaluations per integral
 # An origin panel that grows by a steady ratio as it halves proves divergence.
-_GROWTH_FLOOR = 1.0  # least growth of the panel's value per halving
+# Just below 1: a ratio that tends to 1 from below, as for c/x + d, still
+# counts. r >= 1 - 1e-4 means p + 1 <= 1.44e-4, and then at least 90% of the
+# integral of x^p over (0, 1) lies below the smallest positive double.
+_GROWTH_FLOOR = 1.0 - 1e-4  # least growth of the panel's value per halving
 _STEADY_TOL = 1e-3  # relative change allowed between consecutive ratios
 _STEADY_HALVINGS = 8  # steady growing halvings in a row
 _UNITS_PER_ONE = 1 << 1074  # exact running totals count multiples of 2**-1074

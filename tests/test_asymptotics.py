@@ -10,6 +10,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammakde.asymptotics import (
     MiseIntegrals,
@@ -35,13 +37,15 @@ from gammakde.numerics import (
     NoRootError,
 )
 from gammakde.refdens import (
+    ChiSquareParams,
     PdfDerivs,
     ReferenceDensity,
+    _selector_integrals,
     chi_square_reference,
     maxwell_reference,
 )
 
-from conftest import rel_err
+from conftest import quadrature_only, rel_err
 from oracles import minimize_scalar, refined_scan, squared_kernel_constant_stirling
 
 SQRT_PI = math.sqrt(math.pi)
@@ -293,7 +297,7 @@ class TestGlobalIntegrals:
         # The curvature integral's origin panel grows by a steady ratio as
         # bisection halves it, which stops the quadrature after a few calls.
         with pytest.raises(IntegrationError) as exc_info:
-            bandwidth_report(chi_square_reference(m), 200)
+            bandwidth_report(quadrature_only(chi_square_reference(m)), 200)
         assert type(exc_info.value) is IntegrationError
         assert re.fullmatch(
             r"the panel on \(0\.0, [\d.e-]+\) grows as it halves; "
@@ -302,12 +306,165 @@ class TestGlobalIntegrals:
         )
         assert counts["integrand"] <= 32
 
+    # The powers of x at the origin of the closed forms' divergent integrals:
+    # m = 3 all but root_mass, m = 4 the curvature, m = 5 the curvature and
+    # the correction, whose x^-3/2 coefficient 1 - a vanishes at m = 4.
+    @pytest.mark.parametrize(
+        "m, diverging",
+        [
+            (3, {"curvature": -3, "mass": -1, "correction": -2, "beta": -1}),
+            (4, {"curvature": -2}),
+            (5, {"curvature": -1, "correction": -1}),
+            (6, {}),
+        ],
+    )
+    def test_closed_form_divergence_is_named(self, counts, m, diverging):
+        for name in ("curvature", "mass", "correction", "root_mass", "beta"):
+            if name not in diverging:
+                [value] = _selector_integrals(ChiSquareParams(m), name)
+                assert math.isfinite(value) and value != 0.0, name
+                continue
+            with pytest.raises(IntegrationError) as exc_info:
+                _selector_integrals(ChiSquareParams(m), name)
+            assert type(exc_info.value) is IntegrationError
+            assert str(exc_info.value) == (
+                f"the {name} integral diverges at the origin like x^{diverging[name]}"
+            )
+        if diverging:
+            with pytest.raises(IntegrationError) as exc_info:
+                bandwidth_report(chi_square_reference(m), 200)
+            assert type(exc_info.value) is IntegrationError
+            assert str(exc_info.value).startswith("the curvature integral diverges")
+        assert counts == {"closed_form": 0, "integrand": 0}
+
     @pytest.mark.parametrize("sigma", [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3])
     def test_maxwell_integrals_never_look_divergent(self, sigma):
         # The origin panel grows while bisection is above the scale sigma,
         # but by a changing ratio, so the divergence rule must not fire.
-        mise_integrals(maxwell_reference(sigma))
-        chen_constants(maxwell_reference(sigma))
+        ref = quadrature_only(maxwell_reference(sigma))
+        mise_integrals(ref)
+        chen_constants(ref)
+
+
+# 40-digit mpmath quadratures of (curvature, mass, correction, V, beta),
+# written out from the integrands, not from the closed forms.
+MAXWELL_MPMATH = {
+    1e-06: (
+        2.166644720152147897739711396191323451774e+30,
+        8.22178958662458608144330215358804609551e+8,
+        -8.600399873245196326722867865569920140831e+14,
+        2.426128011415191417008467774052370571357e+2,
+        2.979626238111588294945684586597703097883e+18,
+    ),
+    3e-05: (
+        8.916233416263979971460638524377353707724e+22,
+        5.003621799617067002144117291913603832256e+6,
+        -1.744678894126283172933319831695567668752e+11,
+        4.429483464157504809816833031055138888217e+1,
+        1.103565273374662097772328163193402177028e+14,
+    ),
+    1.0: (
+        2.166644720152147407515888449396578055359,
+        8.221789586624585523366047706045133462976e-1,
+        -8.600399873245195353762035182012082683163e-1,
+        2.426128011415191362115031039729775712269e-1,
+        2.979626238111587890444544603555330218989,
+    ),
+    1000000.0: (
+        2.166644720152147407515890237949605124405e-30,
+        8.221789586624585523366047706045133462976e-10,
+        -8.600399873245195353762035182468532201973e-16,
+        2.426128011415191362115031039729775712269e-4,
+        2.979626238111587890444544603555330218989e-18,
+    ),
+}
+CHI_SQUARE_MPMATH = {
+    6: (
+        7.595486111111111111111111111111111111111e-3,
+        1.566642671644375314009853303006903283129e-1,
+        -7.833213358221876570049264850236202643756e-2,
+        1.325825214724776608251583178946591948659e-1,
+        1.953125e-2,
+    ),
+    7: (
+        2.185924372712760012875101071011385527942e-3,
+        1.063846081070487141173189493158351649269e-1,
+        -2.659615202676217852932973732895879123172e-2,
+        1.200421754876141426073598921342320776886e-1,
+        1.72417855016219947082957410320223892204e-2,
+    ),
+    10: (
+        3.571686921296296296296296296296296296296e-4,
+        4.895758348888672856280791571896572759779e-2,
+        -4.895758348888672856280791571896572759779e-3,
+        9.667475524034829435167794013152232958972e-2,
+        1.3427734375e-2,
+    ),
+    50: (
+        2.496900172583348900818805121809196165026e-6,
+        3.055059947098034202894141949529538485383e-3,
+        -3.394511052331149114326824388366153872648e-5,
+        4.050537548276675134680476690391905938002e-2,
+        5.408392082884017071364723960869014263153e-3,
+    ),
+    200: (
+        6.880058075854316280152717867158870638278e-8,
+        3.60290515310189460720436201877102066376e-4,
+        -9.238218341286909249241953894284668368616e-7,
+        2.002230734522263678480206714620443986756e-2,
+        2.659099716019804126148604409467777392868e-3,
+    ),
+    2000: (
+        2.09901474887090990637553185988052661065e-10,
+        1.12013367048211144187801410068721598407e-5,
+        -2.807352557599276796686752132048160361077e-9,
+        6.310197974435214403961181855297394218884e-3,
+        8.367616049039095303127472825933116047338e-4,
+    ),
+}
+
+
+def _closed_forms(ref) -> tuple:
+    ints = mise_integrals(ref)
+    return (ints.curvature, ints.mass, ints.correction, *chen_constants(ref))
+
+
+class TestClosedForms:
+    """The built-in families' selector integrals against independent routes."""
+
+    @pytest.mark.parametrize("sigma", list(MAXWELL_MPMATH))
+    def test_maxwell_matches_mpmath(self, sigma):
+        for got, want in zip(_closed_forms(maxwell_reference(sigma)), MAXWELL_MPMATH[sigma]):
+            assert rel_err(got, want) <= 1e-14, (got, want)
+
+    # m = 2000 takes the large-m series of the Gamma ratio.
+    @pytest.mark.parametrize("m", list(CHI_SQUARE_MPMATH))
+    def test_chi_square_matches_mpmath(self, m):
+        for got, want in zip(_closed_forms(chi_square_reference(m)), CHI_SQUARE_MPMATH[m]):
+            assert rel_err(got, want) <= 1e-14, (got, want)
+
+    @pytest.mark.parametrize(
+        "ref",
+        [maxwell_reference(s) for s in (1e-4, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6)]
+        + [chi_square_reference(m) for m in (6, 7, 10, 50, 200)],
+        ids=lambda r: r.label,
+    )
+    def test_quadrature_agrees(self, ref):
+        # Quadrature reaches its 1e-10 target here; below sigma = 1e-4 its
+        # nodes miss the density and it returns 0 (see
+        # test_refined_narrow_maxwell_is_degenerate).
+        for got, want in zip(_closed_forms(quadrature_only(ref)), _closed_forms(ref)):
+            assert rel_err(got, want) <= 1e-10, (got, want)
+
+    @given(st.floats(min_value=-6.0, max_value=6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_selectors_scale_with_sigma(self, log10_sigma):
+        sigma = 10.0**log10_sigma
+        ref, unit = maxwell_reference(sigma), maxwell_reference()
+        for n in (200, 2000):
+            plugin = global_bandwidth_plugin(ref, n)
+            assert rel_err(plugin, sigma * global_bandwidth_plugin(unit, n)) <= 1e-12
+            assert rel_err(chen_bandwidth(ref, n), sigma * chen_bandwidth(unit, n)) <= 1e-12
 
 
 # The distributions of the benchmark's selector sweep.
@@ -323,11 +480,21 @@ class TestOneClosedFormEvaluationPerCall:
     def test_bandwidth_report(self, counts, ref):
         for n in (200, 2000):
             try:
-                bandwidth_report(ref, n)
+                bandwidth_report(quadrature_only(ref), n)
             except (IntegrationError, NoRootError):
                 pass  # the sweep's known failures; the calls made still count
         assert counts["integrand"] > 0
         assert counts["closed_form"] == counts["integrand"]
+
+    @pytest.mark.parametrize("ref", SWEEP_REFERENCES, ids=lambda r: r.label)
+    def test_bandwidth_report_of_a_built_in_family(self, counts, ref):
+        # The selector integrals are closed forms: no integrand, no derivs.
+        for n in (200, 2000):
+            try:
+                bandwidth_report(ref, n)
+            except (IntegrationError, NoRootError):
+                pass
+        assert counts == {"closed_form": 0, "integrand": 0}
 
     def test_pointwise(self, counts):
         ref = maxwell_reference()
@@ -447,7 +614,15 @@ class TestMiseAndSelectors:
         assert mise_leading(None, 0.1, 100, integrals=MiseIntegrals(1.0, 1.0, -1.0)) > 0.0
 
     def test_refined_narrow_maxwell_is_degenerate(self):
+        # Quadrature puts every node of sigma = 3e-5 where f = 0, so the
+        # integrals come out 0; the closed forms have no such defect.
+        narrow = quadrature_only(maxwell_reference(sigma=3e-5))
         with pytest.raises(DegenerateIntegralError, match="refined"):
+            refined_bandwidth(narrow, 100)
+
+    def test_refined_narrow_maxwell_has_no_root_in_window(self):
+        # The plug-in b is 5.8e-6, below the refined rule's scan window.
+        with pytest.raises(NoRootError, match=r"no sign change on \(0\.0001, 1\)"):
             refined_bandwidth(maxwell_reference(sigma=3e-5), 100)
 
     def test_chen_frozen(self, maxwell):

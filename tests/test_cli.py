@@ -15,8 +15,10 @@ MAXWELL_EXPERIMENT = {
     "grid": {"min": 0.05, "max": 3.5, "points": 40},
 }
 
-# So narrow that the selector integrals come out 0 (see ROADMAP item 3).
+# So narrow that the plug-in bandwidth (5.8e-6 at n = 100) lies below the
+# refined rule's scan window, and the density vanishes on the default grid.
 NARROW_MAXWELL = {"name": "maxwell", "sigma": 3e-5}
+NO_REFINED_ROOT = "NoRootError: stationarity residual has no sign change"
 
 CHI3_EXPERIMENT = {
     "distribution": {"name": "chi_square", "m": 3},
@@ -90,27 +92,18 @@ class TestReproduce:
         data = json.loads((out / "report.json").read_text())
         assert set(data["bandwidth_errors"]) == {"plugin", "refined", "chen"}
 
-    def test_partial_when_curvature_degenerates(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, {**MAXWELL_EXPERIMENT, "distribution": NARROW_MAXWELL}
-        )
+    @pytest.mark.parametrize(
+        "grid", [MAXWELL_EXPERIMENT["grid"], None], ids=["small_grid", "default_grid"]
+    )
+    def test_refined_fails_when_its_root_leaves_the_window(self, tmp_path, grid):
+        config = {"distribution": NARROW_MAXWELL, "n": 100, "seed": 1, "replications": 2}
+        cfg = write_config(tmp_path, config if grid is None else {**config, "grid": grid})
         out = tmp_path / "out"
         assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_PARTIAL
         data = json.loads((out / "report.json").read_text())
-        for mode in ("plugin", "chen"):
-            assert "degenerate curvature" in data["bandwidth_errors"][mode]
-
-    def test_refined_fails_when_curvature_degenerates(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"distribution": NARROW_MAXWELL, "n": 100, "seed": 1, "replications": 2},
-        )
-        out = tmp_path / "out"
-        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_PARTIAL
-        data = json.loads((out / "report.json").read_text())
-        assert set(data["bandwidth_errors"]) == {"plugin", "refined", "chen"}
-        assert "degenerate curvature" in data["bandwidth_errors"]["refined"]
-        assert "refined" not in data["bandwidths"]
+        assert set(data["bandwidth_errors"]) == {"refined"}
+        assert data["bandwidth_errors"]["refined"].startswith(NO_REFINED_ROOT)
+        assert set(data["bandwidths"]) == {"plugin", "chen"}
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, MAXWELL_EXPERIMENT)
@@ -249,11 +242,38 @@ class TestBandwidths:
 
 
     def test_degenerate_curvature_is_a_numerical_failure(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"distribution": NARROW_MAXWELL, "n": 200})
+        # sigma^-5 underflows to 0
+        dist = {"name": "maxwell", "sigma": 1e65}
+        cfg = write_config(tmp_path, {"distribution": dist, "n": 200})
         assert main(
             ["bandwidths", "--config", cfg, "--out", str(tmp_path / "bw")]
         ) == EXIT_NUMERICAL
         assert "numerical failure: degenerate curvature" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (1e-300, "the curvature integral overflows the float range at sigma=1e-300"),
+            (1e-65, "the curvature integral overflows the float range at sigma=1e-65"),
+            (1e-6, NO_REFINED_ROOT.split(": ", 1)[1]),
+            (NARROW_MAXWELL["sigma"], NO_REFINED_ROOT.split(": ", 1)[1]),
+            (1e65, "degenerate curvature integral; no plug-in bandwidth"),
+            (1e200, "degenerate curvature integral; no plug-in bandwidth"),
+            (1e300, "degenerate curvature integral; no plug-in bandwidth"),
+        ],
+    )
+    def test_extreme_sigma_fails_cleanly(self, tmp_path, capsys, sigma, message):
+        # One line on stderr, no warning and no traceback (exit 1).
+        dist = {"name": "maxwell", "sigma": sigma}
+        cfg = write_config(tmp_path, {"distribution": dist, "n": 200})
+        assert main(
+            ["bandwidths", "--config", cfg, "--out", str(tmp_path / "bw")]
+        ) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "bw").exists()
 
     def test_seed_rejected(self, tmp_path, capsys):
         # bandwidths draws no sample, so a seed would be silently ignored
@@ -271,19 +291,27 @@ class TestBandwidths:
 
 
 class TestConverge:
-    def test_degenerate_curvature_is_a_numerical_failure(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            {
-                "distribution": NARROW_MAXWELL,
-                "n_list": [50, 100, 200, 400],
-                "seed": 11,
-                "replications": 2,
-            },
-        )
-        out = tmp_path / "conv"
-        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-        assert "numerical failure: degenerate curvature" in capsys.readouterr().err
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mean_ise_is_a_numerical_failure(self, tmp_path, capsys):
+        # Density and estimates vanish on the grid, so every mean ISE is 0,
+        # which once gave slope nan, exit 0 and a RuntimeWarning from log(0).
+        for sigma in (1e-4, NARROW_MAXWELL["sigma"]):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "distribution": {"name": "maxwell", "sigma": sigma},
+                    "n_list": [50, 100, 200, 400],
+                    "seed": 11,
+                    "replications": 2,
+                },
+            )
+            out = tmp_path / "conv"
+            assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+            assert capsys.readouterr().err == (
+                "numerical failure: mean ISE 0.0 at n=50 on the grid (0.02, 4.0] "
+                "of 400 points; no log-log slope\n"
+            )
+            assert not out.exists()
 
     def test_small_study(self, tmp_path, capsys):
         cfg = write_config(

@@ -5,8 +5,10 @@ QuadratureResult, or the class, message and partial result of one failure.
 The lines cover:
 
 - every quadrature that mise_integrals and chen_constants run for Maxwell
-  and chi-square references across scales, with their outcomes and the
-  bandwidth_report outcomes at n = 200 and 2000;
+  and chi-square densities across scales, with their outcomes and the
+  bandwidth_report outcomes at n = 200 and 2000. The references are built
+  without params, so the selectors integrate them by quadrature instead of
+  using the families' closed forms;
 - direct integrands at four tolerances, with and without abs_tol. Among them
   are integrable and non-integrable endpoint singularities (x^-1 at the
   border of divergence, x^-0.99 just inside it), a divergent tail,
@@ -34,6 +36,8 @@ from gammakde import (
     numerics,
 )
 from gammakde.kernels import kernel_x_derivative
+
+from conftest import quadrature_only
 
 GOLDEN = Path(__file__).with_name("data") / "quadrature_golden.txt"
 
@@ -109,7 +113,7 @@ def _with_quadratures(fn, *args) -> list[str]:
 def golden_lines() -> list[str]:
     lines = []
     for family, param, make in REFERENCES:
-        ref = make(param)
+        ref = quadrature_only(make(param))
         for fn in (mise_integrals, chen_constants):
             lines.append(f"{family}({param!r}) {fn.__name__}")
             lines += _with_quadratures(fn, ref)
