@@ -19,12 +19,19 @@ writes every output file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 partial results (some bandwidth rules failed; everything else written).
+
+Cost model: importing this module imports the package. The argument parser
+is built once per process, on the first main() call, and each call after
+that only parses. The exact selector sums of a family are computed once per
+process too (see `refdens`), so repeated calls in one process pay for
+their numbers and their output files only.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -188,7 +195,9 @@ def _cmd_verify_lemmas(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused."""
     parser = argparse.ArgumentParser(
         prog="gammakde",
         description="Gamma-kernel density-derivative estimation experiments",

@@ -13,7 +13,10 @@ combined in exact rational arithmetic, so a divergence at the origin is
 read off the lowest power, and only a few constants (pi, sqrt(2), Gamma at
 quarter-integers, a central binomial ratio) are rounded. ReferenceDensity.params
 names the family, which is how the selectors find these closed forms; a
-reference without params is integrated by quadrature.
+reference without params is integrated by quadrature. Cost model: the
+exact algebra runs once per process for each name (Maxwell, where sigma
+then enters as one power) or each (m, name) (chi-square), in a bounded
+cache; every later call is a lookup and, for Maxwell, a multiply.
 
 Sampling reduces everything to standard normals: a Maxwell draw is the norm
 of three of them scaled by sigma, and a chi-square draw with m degrees of
@@ -24,6 +27,7 @@ be split deterministically regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -106,16 +110,33 @@ def maxwell_pdf_derivs(params: MaxwellParams, x) -> PdfDerivs:
     f'(x) = -sqrt(2/pi) x (x^2 - 2 sigma^2) exp(-x^2 / (2 sigma^2)) / sigma^5
     f''(x) = sqrt(2/pi) (x^4 - 5 sigma^2 x^2 + 2 sigma^4)
              exp(-x^2 / (2 sigma^2)) / sigma^7
+
+    Where sigma^7 overflows (sigma above about 1.3e44), the same density is
+    evaluated in u = x / sigma, dividing by sigma one factor at a time:
+    f = phi(u) / sigma, f' = phi'(u) / sigma^2 and f'' = phi''(u) / sigma^3
+    with phi(u) = sqrt(2/pi) u^2 exp(-u^2 / 2). Below that the sigma-power
+    form is kept: the u form rounds differently at sigma != 1, where
+    tests/data/quadrature_golden.txt pins the bits.
     """
     arr = np.asarray(x, dtype=float)
     if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise ValueError("maxwell_pdf_derivs requires finite x >= 0")
-    s2 = params.sigma * params.sigma
+    sigma = params.sigma
+    try:
+        s3, s5, s7 = sigma**3, sigma**5, sigma**7
+    except OverflowError:
+        u = arr / sigma
+        base = _SQRT_2_OVER_PI * np.exp(-u * u / 2.0)
+        f = base * u * u / sigma
+        d1 = -base * u * (u * u - 2.0) / sigma / sigma
+        d2 = base * (u**4 - 5.0 * u * u + 2.0) / sigma / sigma / sigma
+        return _fields(arr, f, d1, d2)
+    s2 = sigma * sigma
     expo = np.exp(-arr * arr / (2.0 * s2))
     base = _SQRT_2_OVER_PI * expo
-    f = base * arr * arr / params.sigma**3
-    d1 = -base * arr * (arr * arr - 2.0 * s2) / params.sigma**5
-    d2 = base * (arr**4 - 5.0 * s2 * arr * arr + 2.0 * s2 * s2) / params.sigma**7
+    f = base * arr * arr / s3
+    d1 = -base * arr * (arr * arr - 2.0 * s2) / s5
+    d2 = base * (arr**4 - 5.0 * s2 * arr * arr + 2.0 * s2 * s2) / s7
     return _fields(arr, f, d1, d2)
 
 
@@ -163,12 +184,36 @@ def _gamma_sum(name: str, terms: dict, d: int, q, anchor):
     return total
 
 
+# The exact sums depend on the name alone (Maxwell) or on (m, name)
+# (chi-square), so each is computed once per process; this many are kept.
+_EXACT_SUMS_KEPT = 256
+
 # Gamma at the anchors of the Maxwell sums, correctly rounded (40-digit mpmath).
 _MAXWELL_GAMMA = {0.25: 3.625609908221908, 0.5: _SQRT_PI, 0.75: 1.2254167024651776}
 
 
-def _maxwell_integral(params: MaxwellParams, name: str) -> float:
-    """One selector integral of the Maxwell density, in closed form.
+def _maxwell_integral(sigma: float, name: str) -> float:
+    """One selector integral of the Maxwell density: unit * sigma^power.
+
+    A sigma power past the float range raises IntegrationError, on every
+    call; one that underflows gives 0.
+    """
+    power, unit = _maxwell_unit(name)
+    try:
+        scale = sigma**power
+    except OverflowError:
+        scale = math.inf
+    value = unit * scale
+    if math.isinf(value):
+        raise IntegrationError(
+            f"the {name} integral overflows the float range at sigma={sigma!r}"
+        )
+    return value
+
+
+@functools.lru_cache(maxsize=_EXACT_SUMS_KEPT)
+def _maxwell_unit(name: str) -> tuple[float, float]:
+    """(power, unit) of one Maxwell selector integral, which is unit sigma^power.
 
     In u = x / sigma, with the density's sqrt(2/pi) and sigma powers in front:
 
@@ -180,8 +225,7 @@ def _maxwell_integral(params: MaxwellParams, name: str) -> float:
 
     and u^p e^{-r u^2} integrates to Gamma((p+1)/2) / (2 r^{(p+1)/2}). The
     Gamma sum is anchored at the fractional part of the lowest (p+1)/2, a
-    quarter-integer. A sigma power past the float range raises
-    IntegrationError; one that underflows gives 0.
+    quarter-integer. No sigma enters, so the algebra runs once per name.
     """
     from fractions import Fraction as F
 
@@ -200,16 +244,7 @@ def _maxwell_integral(params: MaxwellParams, name: str) -> float:
     else:
         total = _gamma_sum(name, terms, 2, F(1, 2), anchor)
         front = _SQRT_2_OVER_PI * 2.0 ** float(anchor) / 2.0
-    try:
-        scale = params.sigma**power
-    except OverflowError:
-        scale = math.inf
-    value = float(total) * _MAXWELL_GAMMA[float(anchor)] * front * scale
-    if math.isinf(value):
-        raise IntegrationError(
-            f"the {name} integral overflows the float range at sigma={params.sigma!r}"
-        )
-    return value
+    return power, float(total) * _MAXWELL_GAMMA[float(anchor)] * front
 
 
 def chi_square_pdf_derivs(params: ChiSquareParams, x) -> PdfDerivs:
@@ -261,7 +296,8 @@ def _half_step_ratio(m: int):
     return math.sqrt(m / 2.0) * series, 0
 
 
-def _chi_square_integral(params: ChiSquareParams, name: str) -> float:
+@functools.lru_cache(maxsize=_EXACT_SUMS_KEPT)
+def _chi_square_integral(m: int, name: str) -> float:
     """One selector integral of the chi-square density, in closed form.
 
     With z = m/2, a = z - 1 and f = x^a e^{-x/2} / (2^z Gamma(z)):
@@ -278,11 +314,12 @@ def _chi_square_integral(params: ChiSquareParams, name: str) -> float:
     the f sums sqrt(2) H times one anchored at z + 1/2, where
     H = Gamma(z + 1/2) / Gamma(z) (_half_step_ratio). The rational parts
     are multiplied exactly and rounded once; for even m the f^2 integrals
-    are rationals.
+    are rationals. A divergent integral raises IntegrationError, which the
+    cache does not keep, so it raises again on every call.
     """
     from fractions import Fraction as F
 
-    z = F(params.m, 2)
+    z = F(m, 2)
     a = z - 1
     terms = {
         "curvature": lambda: _times(
@@ -293,7 +330,7 @@ def _chi_square_integral(params: ChiSquareParams, name: str) -> float:
         "root_mass": lambda: {a - F(1, 2): 1},
         "beta": lambda: _times({2 * a: 1}, *2 * [{-1: a * a - a, 0: -a, 1: F(1, 4)}]),
     }[name]()
-    ratio, pi_power = _half_step_ratio(params.m)
+    ratio, pi_power = _half_step_ratio(m)
     if name in _SQUARED:
         total = _gamma_sum(name, terms, 1, F(1), 2 * z)
         front = 0.5  # and pi^-1/2
@@ -359,8 +396,8 @@ def _selector_integrals(
     one raises.
     """
     if isinstance(params, MaxwellParams):
-        return tuple(_maxwell_integral(params, name) for name in names)
-    return tuple(_chi_square_integral(params, name) for name in names)
+        return tuple(_maxwell_integral(params.sigma, name) for name in names)
+    return tuple(_chi_square_integral(params.m, name) for name in names)
 
 
 def _generator(seed: int) -> np.random.Generator:

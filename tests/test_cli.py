@@ -1,6 +1,12 @@
 """CLI surface: config loading, output resolution, exit codes."""
 
+import csv
 import json
+import math
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -27,6 +33,20 @@ CHI3_EXPERIMENT = {
     "replications": 2,
     "grid": {"min": 0.05, "max": 3.5, "points": 40},
 }
+
+
+# Maxwell scales whose sigma^5 or sigma^7 leaves the float range.
+EXTREME_SIGMAS = [1e65, 1e200, 1e300]
+
+
+def _json_numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _json_numbers(item)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield float(obj)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -125,6 +145,32 @@ class TestReproduce:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", EXTREME_SIGMAS)
+    def test_extreme_sigma_runs(self, tmp_path, capsys, sigma):
+        # The truth on a grid scaled with sigma, at a bandwidth scaled with
+        # it: every number in every file is finite (or null), no warning.
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": {"name": "maxwell", "sigma": sigma},
+                "n": 50,
+                "seed": 3,
+                "replications": 2,
+                "grid": {"min": 0.05 * sigma, "max": 4.0 * sigma, "points": 10},
+                "bandwidth_modes": [{"fixed": 0.1 * sigma}],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        numbers = list(_json_numbers(report))
+        [curve] = out.glob("curve_*.csv")
+        with open(curve, newline="") as fh:
+            for row in csv.DictReader(fh):
+                numbers += [float(v) for v in row.values()]
+        assert numbers and all(math.isfinite(v) for v in numbers)
 
 class TestOutputResolution:
     def test_env_var_honored(self, tmp_path, monkeypatch):
@@ -313,6 +359,28 @@ class TestConverge:
             )
             assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", EXTREME_SIGMAS)
+    def test_extreme_sigma_fails_cleanly(self, tmp_path, capsys, sigma):
+        # sigma^-5 underflows, so the plug-in rule the ladder uses has no
+        # curvature: one line on stderr, no traceback (exit 1), no warning.
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": {"name": "maxwell", "sigma": sigma},
+                "n_list": [50, 100, 200, 400],
+                "seed": 3,
+                "replications": 2,
+                "grid": {"min": 0.05 * sigma, "max": 4.0 * sigma, "points": 10},
+            },
+        )
+        out = tmp_path / "conv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: degenerate curvature integral; no plug-in bandwidth\n"
+        )
+        assert not out.exists()
+
     def test_small_study(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -371,3 +439,89 @@ class TestVerifyLemmas:
         err = capsys.readouterr().err
         assert "configuration error: unknown config keys: ['output_dir']" in err
         assert not out.exists() and not (tmp_path / "cfg_out").exists()
+
+
+# One small run of each subcommand; each writes into its own --out directory.
+SMALL_RUNS = {
+    "reproduce": MAXWELL_EXPERIMENT,
+    "bandwidths": {"distribution": {"name": "chi_square", "m": 6}, "n": 500},
+    "converge": {
+        "distribution": {"name": "maxwell", "sigma": 1.0},
+        "n_list": [50, 100, 200, 400],
+        "seed": 11,
+        "replications": 2,
+        "grid": {"min": 0.05, "max": 3.5, "points": 40},
+    },
+    "verify-lemmas": {
+        "distribution": {"name": "maxwell", "sigma": 1.0},
+        "x_list": [0.5, 1.0],
+        "b": 0.1,
+        "n": 200,
+        "seed": 5,
+        "replications": 20,
+    },
+}
+
+
+def _take_outputs(argv) -> dict:
+    """The files written under argv's --out directory, which is then removed."""
+    if "--out" not in argv:
+        return {}
+    out = Path(argv[argv.index("--out") + 1])
+    files = {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+    shutil.rmtree(out, ignore_errors=True)
+    return files
+
+
+def _fresh_process(argv) -> tuple:
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammakde.cli", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr, _take_outputs(argv)
+
+
+def _in_process(argv, capsys) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, _take_outputs(argv)
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; reuse must not show."""
+
+    def test_repeated_calls_match_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
+        argvs = {
+            name: [name, "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                   "--out", str(tmp_path / name)]
+            for name, cfg in SMALL_RUNS.items()
+        }
+        argvs["--help"] = ["--help"]
+        argvs.update({f"{name} --help": [name, "--help"] for name in SMALL_RUNS})
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            fresh = dict(zip(argvs, pool.map(_fresh_process, argvs.values())))
+        assert all(fresh[name][0] == EXIT_OK for name in SMALL_RUNS)
+        assert all(fresh[name][3] for name in SMALL_RUNS)
+        assert all(fresh[key][0] == 0 and "usage:" in fresh[key][1]
+                   for key in argvs if key.endswith("--help"))
+
+        for _ in range(2):
+            for key, argv in argvs.items():
+                assert _in_process(argv, capsys) == fresh[key], key
+                name = argv[0]
+                if name not in SMALL_RUNS:
+                    continue
+                code, _, err, _ = _in_process([name, "--jobs", "0"], capsys)
+                assert (code, err) == (EXIT_CONFIG, "error: --jobs must be >= 1\n")
+                code, _, err, _ = _in_process([name, "--config", str(tmp_path)], capsys)
+                assert code == EXIT_CONFIG
+                assert err.startswith(f"configuration error: cannot read config file {tmp_path}")
+                code, _, err, _ = _in_process(["frobnicate"], capsys)
+                assert code == 2 and "invalid choice: 'frobnicate'" in err

@@ -1,6 +1,7 @@
 """Reference densities, analytic derivatives, exact samplers."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gammakde.asymptotics import curvature_term
-from gammakde.numerics import integrate_semi_infinite
+from gammakde.asymptotics import bandwidth_report, curvature_term
+from gammakde import refdens
+from gammakde.numerics import IntegrationError, integrate_semi_infinite
 from gammakde.refdens import (
     ChiSquareParams,
     MaxwellParams,
+    _selector_integrals,
     chi_square_pdf_derivs,
     chi_square_reference,
     derived_seed,
@@ -71,6 +74,24 @@ def test_maxwell_sigma_scaling():
     d2 = maxwell_pdf_derivs(MaxwellParams(sigma=2.0), 1.0)
     d1 = maxwell_pdf_derivs(MaxwellParams(), 0.5)
     assert rel_err(d2.f, d1.f / 2.0) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e40, 1e44, 2e44, 1e65, 1e100, 1e200, 1e300])
+def test_maxwell_scaling_past_the_float_range_of_sigma_powers(sigma):
+    # f = phi(u)/sigma, f' = phi'(u)/sigma^2, f'' = phi''(u)/sigma^3 in
+    # u = x/sigma, on both sides of where sigma^7 overflows (about 1.3e44).
+    u = np.array([0.0, 0.25, 1.0, math.sqrt(2.0), 3.0, 8.0])
+    unit = maxwell_pdf_derivs(MaxwellParams(), u)
+    got = maxwell_pdf_derivs(MaxwellParams(sigma=sigma), u * sigma)
+    for field, k in (("f", 1), ("d1", 2), ("d2", 3)):
+        value, want = getattr(got, field), getattr(unit, field)
+        assert np.isfinite(value).all()
+        if 1e-300 < sigma**-k < 1e300:  # the scaled value is a normal float
+            scaled = value
+            for _ in range(k):
+                scaled = scaled * sigma
+            assert np.allclose(scaled, want, rtol=1e-14, atol=1e-15), field
 
 
 @pytest.mark.parametrize("x,want", sorted(MAXWELL_CDF_TABLE.items()))
@@ -288,3 +309,78 @@ def test_derived_seed_coordinates():
     assert derived_seed(123, 0, 1) != derived_seed(123, 1, 0)
     with pytest.raises(ValueError):
         derived_seed(123)
+
+
+# The exact selector sums are kept per process; these pin that keeping them
+# changes no bit and no failure.
+NAMES = ("curvature", "mass", "correction", "root_mass", "beta")
+SWEEP = [(MaxwellParams(s), n) for s in (0.1, 1.0, 10.0) for n in (200, 2000)] + [
+    (ChiSquareParams(m), n) for m in (3, 4, 6, 10, 50) for n in (200, 2000)
+]
+EXTRA = [MaxwellParams(s) for s in (1e-300, 1e-6, 1e6, 1e200)] + [
+    ChiSquareParams(m) for m in (7, 1000, 1001, 2000, 100_000)
+]
+MEMOS = ("_maxwell_unit", "_chi_square_integral")
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cases() -> list:
+    cases = [(bandwidth_report, reference_for(p), n) for p, n in SWEEP]
+    return cases + [(_selector_integrals, p, name) for p in EXTRA for name in NAMES]
+
+
+def _clear_memos() -> None:
+    for memo in MEMOS:
+        getattr(refdens, memo).cache_clear()
+
+
+@pytest.fixture(scope="module")
+def unmemoized():
+    """Every case's outcome with the exact algebra redone on each call."""
+    patch = pytest.MonkeyPatch()
+    for memo in MEMOS:
+        patch.setattr(refdens, memo, getattr(refdens, memo).__wrapped__)
+    try:
+        return [_outcome(*case) for case in _cases()]
+    finally:
+        patch.undo()
+
+
+@pytest.mark.parametrize("order_seed", range(4))
+def test_memoized_sums_keep_every_bit_in_any_order(unmemoized, order_seed):
+    cases = _cases()
+    order = list(range(len(cases)))
+    random.Random(order_seed).shuffle(order)
+    _clear_memos()
+    for _ in range(2):  # a cold cache, then a warm one
+        got = {i: _outcome(*cases[i]) for i in order}
+        assert [got[i] for i in range(len(cases))] == unmemoized
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_divergent_sums_raise_on_every_call(m):
+    _clear_memos()
+    outcomes = {
+        name: [_outcome(_selector_integrals, ChiSquareParams(m), name) for _ in range(2)]
+        for name in NAMES
+    }
+    assert all(first == second for first, second in outcomes.values())
+    diverging = [n for n, (first, _) in outcomes.items() if "diverges at the origin" in first]
+    assert "curvature" in diverging
+    # Only the finite sums are kept.
+    kept = refdens._chi_square_integral.cache_info().currsize
+    assert kept == len(NAMES) - len(diverging)
+
+
+def test_overflowing_maxwell_sum_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(IntegrationError, match=(
+            r"^the curvature integral overflows the float range at sigma=1e-300$"
+        )):
+            _selector_integrals(MaxwellParams(1e-300), "curvature")
