@@ -115,6 +115,8 @@ def bias_interior(ref: ReferenceDensity, x: float, b: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x >= 2.0 * b):
         raise ValueError(f"interior bias requires x >= 2 b, got x={x!r}, b={b!r}")
+    if x * x == 0.0:
+        raise ValueError(f"interior bias at x={x!r}: x^2 underflows to 0")
     d = ref.derivs(x)
     return b * (float(d.f) / (12.0 * x * x) + float(d.d2) / 4.0)
 
@@ -149,10 +151,15 @@ def variance_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float
     x = float(x)
     if not (math.isfinite(x) and x >= 2.0 * b):
         raise ValueError(f"interior variance requires x >= 2 b, got x={x!r}, b={b!r}")
+    scale = 2.0 * _SQRT_PI * n * b ** 1.5 * math.sqrt(x)
+    if x * x == 0.0 or scale == 0.0:
+        raise ValueError(
+            f"interior variance at x={x!r}, b={b!r}: x^2 or b^(3/2) sqrt(x) underflows to 0"
+        )
     d = ref.derivs(x)
     f, d1 = float(d.f), float(d.d1)
     bracket = f / (2.0 * x) + b * (f / (4.0 * x * x) - d1 / (4.0 * x))
-    return bracket / (2.0 * _SQRT_PI * n * b ** 1.5 * math.sqrt(x))
+    return bracket / scale
 
 
 def squared_kernel_constant(x: float, b: float) -> float:

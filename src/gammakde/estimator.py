@@ -10,11 +10,19 @@ A kernels.KernelPlan holds the per-point constants as arrays. It depends
 only on (points, b), which Monte Carlo replications repeat, so plans come
 from a small memo keyed on the points' bytes and b. The kernel matrix K is
 then filled block by block into one reused buffer, with one exp per
-(sample, grid point) pair: the density is the row sum of K, and the
+(observation, grid point) pair: the density is the row sum of K, and the
 derivative the row sum of K ln(t/b) less digamma(rho) times the density
 sum. The block holds 2^17 entries (1 MiB), so its passes run from cache;
 memory is bounded by it whatever the sample size, except that a row is
 never split, so above 2^17 observations a block is one row.
+
+evaluate_batch puts several samples of one size side by side: a row of K
+holds every sample's observations, each sample in its own contiguous
+segment, and each segment is summed on its own. The per-row cost of a
+pass is then shared, and rows long enough to skip numpy's ufunc buffer
+need fewer small samples. A segment's sum is the same pairwise sum as the
+row of a one-sample call, so each sample's estimates keep every bit they
+have from evaluate_on_grid.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelPlan
+from .kernels import UNBUFFERED, KernelPlan
 
 __all__ = [
     "Sample",
@@ -33,6 +41,7 @@ __all__ = [
     "density_at",
     "derivative_at",
     "evaluate_on_grid",
+    "evaluate_batch",
 ]
 
 # Kernel entries per block: 1 MiB of doubles, small enough for the block's
@@ -109,61 +118,101 @@ def _plan(xs_bytes: bytes, shape: tuple, b: float) -> KernelPlan:
     return KernelPlan(np.frombuffer(xs_bytes).reshape(shape), b)
 
 
-def _core(sample: Sample, xs: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Density and derivative estimates at points xs, vectorized in both axes."""
+def _core(samples: list, xs: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Density and derivative estimates of each sample at points xs, as (R, m) arrays.
+
+    Every sample must have the same size n and the same number k of
+    positive values. Their positive values are laid side by side, so a row
+    of the block holds R segments of k entries, one per sample.
+    """
     plan = _plan(xs.tobytes(), xs.shape, float(b))
-    values = sample.values
-    n = values.size
+    count = len(samples)
+    n = samples[0].n
+    values = samples[0].values if count == 1 else np.concatenate([s.values for s in samples])
     vp = values[values > 0.0]
-    n_zero = n - vp.size
+    k = vp.size // count
+    n_zero = n - k
     log_t = np.log(vp)
     t_over_b = vp / plan.b
     log_t_over_b = np.log(t_over_b)
 
     m = plan.xs.size
-    density = np.empty(m)
-    derivative = np.empty(m)
+    density = np.empty((count, m))
+    derivative = np.empty((count, m))
     # Block over the grid to bound memory; every block reuses one buffer.
     block = max(1, min(m, _BLOCK_ENTRIES // max(vp.size, 1)))
     buffer = np.empty((block, vp.size))
     for start in range(0, m, block):
         rows = slice(start, min(start + block, m))
         kern = plan.fill_kernel(rows, log_t, t_over_b, buffer[: rows.stop - start])
-        # Row sums, not a matrix product: each row's sum must not depend on
-        # how many rows share the block.
-        dens_sum = kern.sum(axis=1)
-        kern *= log_t_over_b
-        deriv_sum = kern.sum(axis=1) - plan.psi[rows] * dens_sum
+        # Row sums per segment, not a matrix product: each sum must not
+        # depend on how many rows or samples share the block.
+        segments = kern.reshape(rows.stop - start, count, k)
+        dens_sum = segments.sum(axis=2)
+        old = np.setbufsize(UNBUFFERED)
+        try:
+            kern *= log_t_over_b
+        finally:
+            np.setbufsize(old)
+        deriv_sum = segments.sum(axis=2) - plan.psi[rows, None] * dens_sum
         if n_zero:
             # t = 0 contributes to the density only through the rho = 1
             # kernel (the x = 0 exponential); its derivative limit is 0.
-            dens_sum += np.where(plan.rho[rows] == 1.0, n_zero / plan.b, 0.0)
-        density[rows] = dens_sum / n
-        derivative[rows] = plan.prefactor[rows] * deriv_sum / n
+            dens_sum += np.where(plan.rho[rows] == 1.0, n_zero / plan.b, 0.0)[:, None]
+        density[:, rows] = (dens_sum / n).T
+        derivative[:, rows] = (plan.prefactor[rows, None] * deriv_sum / n).T
     return density, derivative
 
 
 def density_at(sample: Sample, b: float, x: float) -> float:
     """Kernel density estimate at a single point x >= 0."""
-    dens, _ = _core(sample, np.array([x], dtype=float), b)
-    return float(dens[0])
+    dens, _ = _core([sample], np.array([x], dtype=float), b)
+    return float(dens[0, 0])
 
 
 def derivative_at(sample: Sample, b: float, x: float) -> float:
     """Kernel estimate of the density derivative at a single point x >= 0."""
-    _, deriv = _core(sample, np.array([x], dtype=float), b)
-    return float(deriv[0])
+    _, deriv = _core([sample], np.array([x], dtype=float), b)
+    return float(deriv[0, 0])
 
 
-def evaluate_on_grid(sample: Sample, b: float, grid) -> GridEvaluation:
-    """Evaluate both estimates on a strictly increasing grid of points."""
+def _checked_grid(grid) -> np.ndarray:
+    """grid as a 1-D float array, checked to be non-empty and strictly increasing.
+
+    The kernel plan checks that the points are finite and >= 0, and b.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    # The kernel plan checks that the points are finite and >= 0, and b.
-    density, derivative = _core(sample, grid, b)
-    return GridEvaluation(
-        grid=grid, density=density, derivative=derivative, bandwidth=float(b)
-    )
+    return grid
+
+
+def _evaluations(samples: list, b: float, grid: np.ndarray) -> list[GridEvaluation]:
+    density, derivative = _core(samples, grid, b)
+    return [
+        GridEvaluation(grid=grid, density=dens, derivative=deriv, bandwidth=float(b))
+        for dens, deriv in zip(density, derivative)
+    ]
+
+
+def evaluate_on_grid(sample: Sample, b: float, grid) -> GridEvaluation:
+    """Evaluate both estimates on a strictly increasing grid of points."""
+    return _evaluations([sample], b, _checked_grid(grid))[0]
+
+
+def evaluate_batch(samples, b: float, grid) -> list[GridEvaluation]:
+    """evaluate_on_grid of each sample in turn, computed together.
+
+    Samples that share their size and their count of exact zeros go
+    through the core in one batch; otherwise each goes through it alone.
+    Either way every result equals the sample's own evaluate_on_grid bit
+    for bit.
+    """
+    grid = _checked_grid(grid)
+    samples = list(samples)
+    # A lone sample needs no count (a float count costs about 1 ns per value).
+    if len(samples) > 1 and len({(s.n, np.count_nonzero(s.values)) for s in samples}) > 1:
+        return [ev for s in samples for ev in _evaluations([s], b, grid)]
+    return _evaluations(samples, b, grid) if samples else []

@@ -12,11 +12,15 @@ returns its result and writes no file; the command line writes them.
 * asymptotic_moment_check: Monte Carlo means and variances of the pointwise
   derivative estimate against their predicted leading terms.
 
-Reproducibility contract: replication r of every study is one task, a
-sample drawn with a seed derived from (config seed, r), or (config seed,
-size index, r) on the converge ladder. The parent reduces the results in
-task order, so reports are byte-identical for a fixed config no matter how
-many worker processes execute the replications.
+Reproducibility contract: replication r of every study is a sample drawn
+with a seed derived from (config seed, r), or (config seed, size index, r)
+on the converge ladder. A task is a run of consecutive replications at one
+sample size: it draws each replication's sample from that replication's own
+seed and evaluates the run in one estimator batch, which gives every
+replication the bits it would have alone. The parent reduces the results
+replication by replication, in index order, so reports are byte-identical
+for a fixed config no matter how the replications are grouped into tasks or
+how many worker processes execute them.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, numerics
 from .asymptotics import BandwidthConstants
-from .estimator import evaluate_on_grid
+from .estimator import evaluate_batch
 from .ioutil import write_csv, write_json
 from .refdens import (
     ChiSquareParams,
@@ -307,11 +312,32 @@ def _ise(estimate: np.ndarray, truth: np.ndarray, grid: np.ndarray) -> float:
     return float(_trapezoid(diff * diff, grid))
 
 
+# Kernel entries a task's run of replications puts in one estimator row:
+# ceil(_RUN_ENTRIES / n) samples of size n. Rows this long share the per-row
+# cost of each pass; from n = 4096 on a run is one replication.
+_RUN_ENTRIES = 4096
+
+
+def _runs(count: int, n: int, jobs: int) -> list[range]:
+    """Replications 0..count-1 at sample size n as runs of consecutive ones.
+
+    With a pool, runs are capped so that each worker still gets about four.
+    """
+    size = -(-_RUN_ENTRIES // n)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        size = min(size, max(1, count // (4 * workers)))
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _replicate(args) -> list:
-    """One replication: a seeded sample, evaluated once per bandwidth."""
-    dist, n, seed, points, bandwidths = args
-    s = sample(dist, n, seed)
-    return [evaluate_on_grid(s, b, points) for b in bandwidths]
+    """A run of replications: seeded samples, evaluated once per bandwidth.
+
+    Returns, per replication in run order, its evaluations in bandwidth order.
+    """
+    dist, n, seeds, points, bandwidths = args
+    samples = [sample(dist, n, seed) for seed in seeds]
+    return list(zip(*(evaluate_batch(samples, b, points) for b in bandwidths)))
 
 
 def _map_tasks(task_fn, tasks: list, jobs: int):
@@ -362,13 +388,15 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
 
     b_values = tuple(bandwidths.values())
     tasks = [
-        (cfg.distribution, cfg.n, derived_seed(cfg.seed, rep), grid, b_values)
-        for rep in range(cfg.replications if b_values else 0)
+        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], grid,
+         b_values)
+        for run in _runs(cfg.replications if b_values else 0, cfg.n, jobs)
     ]
     per_replication = []
     ise_by_mode: dict = {label: [] for label in bandwidths}
     curves: dict = {}
-    for rep, evaluations in enumerate(_map_tasks(_replicate, tasks, jobs)):
+    results = chain.from_iterable(_map_tasks(_replicate, tasks, jobs))
+    for rep, evaluations in enumerate(results):
         if rep == 0:
             curves = dict(zip(bandwidths, evaluations))
         for label, ev in zip(bandwidths, evaluations):
@@ -515,13 +543,17 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     integrals = asymptotics.SelectorIntegrals(ref)
     plugin = asymptotics.SELECTORS["plugin"]
     bandwidths = {n: plugin(integrals, n) for n in cfg.n_list}
-    ladder = [(i, n, rep) for i, n in enumerate(cfg.n_list) for rep in range(cfg.replications)]
     tasks = [
-        (cfg.distribution, n, derived_seed(cfg.seed, i, rep), grid, (bandwidths[n],))
-        for i, n, rep in ladder
+        (cfg.distribution, n, [derived_seed(cfg.seed, i, rep) for rep in run], grid,
+         (bandwidths[n],))
+        for i, n in enumerate(cfg.n_list)
+        for run in _runs(cfg.replications, n, jobs)
     ]
+    # Replications arrive size by size, each size's in index order.
+    ladder = [i for i in range(len(cfg.n_list)) for _ in range(cfg.replications)]
     sums = np.zeros(len(cfg.n_list))
-    for (i, _, _), (ev,) in zip(ladder, _map_tasks(_replicate, tasks, jobs)):
+    results = chain.from_iterable(_map_tasks(_replicate, tasks, jobs))
+    for i, (ev,) in zip(ladder, results):
         sums[i] += _ise(ev.derivative, truth, grid)
     mise = sums / cfg.replications
     for n, m in zip(cfg.n_list, mise):
@@ -611,14 +643,26 @@ class MomentCheckReport:
 def asymptotic_moment_check(
     cfg: MomentCheckConfig, *, jobs: int = 1
 ) -> MomentCheckReport:
-    """Compare Monte Carlo moments of the estimate to their leading terms."""
+    """Compare Monte Carlo moments of the estimate to their leading terms.
+
+    The leading terms come first: a point where they cannot be evaluated
+    raises ConfigError naming it before any sample is drawn.
+    """
     ref = reference_for(cfg.distribution)
     xs = np.asarray(cfg.x_list, dtype=float)
+    try:
+        predicted = [
+            (asymptotics.bias_interior(ref, x, cfg.b),
+             asymptotics.variance_leading(ref, x, cfg.b, cfg.n))
+            for x in cfg.x_list
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"no leading terms for this x_list and b: {exc}") from exc
     tasks = [
-        (cfg.distribution, cfg.n, derived_seed(cfg.seed, rep), xs, (cfg.b,))
-        for rep in range(cfg.replications)
+        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], xs, (cfg.b,))
+        for run in _runs(cfg.replications, cfg.n, jobs)
     ]
-    results = _map_tasks(_replicate, tasks, jobs)
+    results = chain.from_iterable(_map_tasks(_replicate, tasks, jobs))
     estimates = np.vstack([ev.derivative for (ev,) in results])
 
     mc_mean = estimates.mean(axis=0)
@@ -628,10 +672,8 @@ def asymptotic_moment_check(
         mc_var = np.full(xs.shape, np.nan)
 
     rows = []
-    for j, x in enumerate(xs):
+    for j, (x, (bias, var_pred)) in enumerate(zip(xs, predicted)):
         truth = float(ref.d1(x))
-        bias = asymptotics.bias_interior(ref, float(x), cfg.b)
-        var_pred = asymptotics.variance_leading(ref, float(x), cfg.b, cfg.n)
         if cfg.replications > 1:
             se = math.sqrt(mc_var[j] / cfg.replications)
             bias_z = (mc_mean[j] - truth - bias) / se if se > 0.0 else float("nan")

@@ -22,12 +22,19 @@ are the per-observation oracles the estimator is checked against.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .specfun import digamma_array, log_gamma_array
 
 __all__ = ["KernelPlan", "kernel_value", "kernel_x_derivative"]
+
+# numpy's smallest ufunc buffer, in elements. A broadcast pass over rows
+# shorter than the buffer (8192 by default) is copied through it, which
+# costs several times the arithmetic; at this size each pass runs straight
+# over its operands. Row sums keep the default, which suits them better.
+UNBUFFERED = 16
 
 
 class KernelPlan:
@@ -54,11 +61,23 @@ class KernelPlan:
         self.xs = xs
         self.b = b
         self.interior = xs >= 2.0 * b
-        half = xs / (2.0 * b)
-        self.rho = np.where(self.interior, xs / b, half * half + 1.0)
+        # Each branch is computed only on its own points: at a tiny b the
+        # other branch's formula would overflow or divide by zero there.
+        boundary = ~self.interior
+        self.rho = np.empty_like(xs)
+        self.prefactor = np.empty_like(xs)
+        self.rho[self.interior] = xs[self.interior] / b
+        self.prefactor[self.interior] = 1.0 / b
+        half = xs[boundary] / (2.0 * b)
+        self.rho[boundary] = half * half + 1.0
+        two_b2 = 2.0 * b * b
+        # x / (2 b^2) needs 2 b^2 to be a normal float (b above about
+        # 1e-154); below that, (x / (2 b)) / b keeps the quotient finite.
+        self.prefactor[boundary] = (
+            xs[boundary] / two_b2 if two_b2 >= sys.float_info.min else half / b
+        )
         self.lognorm = self.rho * math.log(b) + log_gamma_array(self.rho)
         self.psi = digamma_array(self.rho)
-        self.prefactor = np.where(self.interior, 1.0 / b, xs / (2.0 * b * b))
         for arr in (self.xs, self.interior, self.rho, self.lognorm, self.psi,
                     self.prefactor):
             arr.flags.writeable = False
@@ -68,10 +87,15 @@ class KernelPlan:
 
         With log_t = ln t and t_over_b = t / b, out[i, j] becomes
         exp((rho_i - 1) ln t_j - t_j / b - lognorm_i), computed in place.
+        The three broadcast passes run unbuffered (see UNBUFFERED).
         """
-        np.multiply(self.rho[rows, None] - 1.0, log_t, out=out)
-        out -= t_over_b
-        out -= self.lognorm[rows, None]
+        old = np.setbufsize(UNBUFFERED)
+        try:
+            np.multiply(self.rho[rows, None] - 1.0, log_t, out=out)
+            out -= t_over_b
+            out -= self.lognorm[rows, None]
+        finally:
+            np.setbufsize(old)
         return np.exp(out, out=out)
 
 

@@ -84,6 +84,16 @@ class TestPointwise:
             bias_interior(maxwell, 1.0, 0.0)
         bias_interior(maxwell, 0.2, 0.1)  # x = 2 b sits in the interior branch
 
+    def test_underflowing_denominators_raise_naming_x(self, maxwell):
+        # 12 x^2 and b^(3/2) sqrt(x) underflow to 0 here: a ValueError that
+        # names x, not a ZeroDivisionError.
+        with pytest.raises(ValueError, match=r"x=1e-300: x\^2 underflows"):
+            bias_interior(maxwell, 1e-300, 1e-301)
+        with pytest.raises(ValueError, match=r"x=1e-300, b=1e-301"):
+            variance_leading(maxwell, 1e-300, 1e-301, 100)
+        with pytest.raises(ValueError, match=r"x=1.0, b=1e-250"):
+            variance_leading(maxwell, 1.0, 1e-250, 100)
+
     def test_bias_boundary_frozen(self, maxwell):
         assert rel_err(bias_boundary(maxwell, 0.05, 1.0), -0.0019152752776360668) < 1e-13
         assert rel_err(bias_boundary(maxwell, 0.05, 2.0), 0.16423167365834842) < 1e-13

@@ -172,6 +172,22 @@ class TestReproduce:
                 numbers += [float(v) for v in row.values()]
         assert numbers and all(math.isfinite(v) for v in numbers)
 
+    def test_tiny_fixed_bandwidth_runs(self, tmp_path, capsys):
+        # At b = 1e-300 every grid point is interior; the kernel plan must not
+        # evaluate the boundary formulas there (pytest makes their
+        # RuntimeWarnings errors). Every kernel underflows to 0.
+        cfg = write_config(
+            tmp_path, {**MAXWELL_EXPERIMENT, "bandwidth_modes": [{"fixed": 1e-300}]}
+        )
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        ises = [row["ise"] for row in report["per_replication_ise"]]
+        assert len(ises) == 3 and all(math.isfinite(v) and v > 0.0 for v in ises)
+        with open(out / "curve_fixed_1e-300.csv", newline="") as fh:
+            assert {float(r["estimate"]) for r in csv.DictReader(fh)} == {0.0}
+
+
 class TestOutputResolution:
     def test_env_var_honored(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, MAXWELL_EXPERIMENT)
@@ -418,6 +434,36 @@ class TestVerifyLemmas:
         data = json.loads((out / "moment_check.json").read_text())
         assert [row["x"] for row in data["rows"]] == [0.5, 1.0]
         assert "variance ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "x, b, message",
+        [
+            (1e-300, 1e-301, "interior bias at x=1e-300: x^2 underflows to 0"),
+            (1.0, 1e-250, "interior variance at x=1.0, b=1e-250"),
+        ],
+    )
+    def test_underflowing_leading_terms_are_a_config_error(
+        self, tmp_path, capsys, x, b, message
+    ):
+        # The leading terms divide by 12 x^2 and by b^(3/2) sqrt(x); where
+        # these underflow the command stops before drawing a sample.
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": {"name": "maxwell", "sigma": 1.0},
+                "x_list": [x],
+                "b": b,
+                "n": 20,
+                "seed": 5,
+                "replications": 2,
+            },
+        )
+        out = tmp_path / "mc"
+        assert main(["verify-lemmas", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_output_dir_is_not_a_config_key(self, tmp_path, capsys):
         # Unlike the other three configs, this one has no output_dir field:

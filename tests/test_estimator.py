@@ -12,13 +12,14 @@ from gammakde.estimator import (
     Sample,
     density_at,
     derivative_at,
+    evaluate_batch,
     evaluate_on_grid,
 )
 from gammakde.harness import GridSpec
 from gammakde.kernels import KernelPlan, kernel_x_derivative
 from gammakde.numerics import integrate_semi_infinite
 from gammakde.refdens import sample as draw_sample
-from gammakde.refdens import MaxwellParams
+from gammakde.refdens import MaxwellParams, derived_seed
 from gammakde.specfun import digamma, log_gamma
 
 from conftest import rel_err
@@ -293,6 +294,62 @@ class TestPlanMemo:
             # the same bytes as the warm grid, but not a 1-D array of points
             with pytest.raises(ValueError, match="1-D"):
                 density_at(s, 0.1, [0.5, 1.0])
+
+
+def assert_same_bits(batch, samples, b, grid):
+    assert len(batch) == len(samples)
+    for ev, s in zip(batch, samples):
+        one = evaluate_on_grid(s, b, grid)
+        assert ev.bandwidth == one.bandwidth
+        assert np.array_equal(ev.grid, one.grid)
+        assert np.array_equal(ev.density, one.density)
+        assert np.array_equal(ev.derivative, one.derivative)
+
+
+class TestBatch:
+    """evaluate_batch gives each sample the bits of its own evaluate_on_grid."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 200, 8193])
+    @pytest.mark.parametrize("count", [1, 2, 7, 41])
+    def test_matches_one_sample_calls(self, n, count, monkeypatch):
+        samples = [
+            draw_sample(MaxwellParams(), n, derived_seed(23, n, r)) for r in range(count)
+        ]
+        one_point = np.array([0.7])
+        grid = GridSpec(points=40).array()
+        for g in (one_point, grid):
+            assert_same_bits(evaluate_batch(samples, 0.1, g), samples, 0.1, g)
+        # Blocks of three grid rows: the 40-point grid spans 14 blocks.
+        monkeypatch.setattr(estimator, "_BLOCK_ENTRIES", 3 * n * count)
+        assert_same_bits(evaluate_batch(samples, 0.1, grid), samples, 0.1, grid)
+
+    def test_ragged_batches(self):
+        rng = np.random.default_rng(8)
+        grid = np.linspace(0.0, 3.0, 31)  # x = 0 takes the rho = 1 path
+
+        def with_zeros(n, zeros):
+            values = rng.gamma(2.0, 0.5, size=n)
+            values[rng.choice(n, size=zeros, replace=False)] = 0.0
+            return Sample(values)
+
+        same_zeros = [with_zeros(50, 4) for _ in range(5)]
+        ragged = [
+            with_zeros(50, 0),
+            with_zeros(50, 4),
+            with_zeros(30, 0),
+            with_zeros(50, 50),
+            with_zeros(1, 0),
+        ]
+        for samples in (same_zeros, ragged, ragged[::-1]):
+            assert_same_bits(evaluate_batch(samples, 0.05, grid), samples, 0.05, grid)
+
+    def test_empty_batch_and_checks(self):
+        s = Sample(np.array([1.0, 2.0]))
+        assert evaluate_batch([], 0.1, [0.5, 1.0]) == []
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evaluate_batch([s, s], 0.1, [0.5, 0.5])
+        with pytest.raises(ValueError, match="bandwidth must be finite"):
+            evaluate_batch([s, s], 0.0, [0.5, 1.0])
 
 
 class TestGridEvaluation:

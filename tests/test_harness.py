@@ -246,6 +246,47 @@ class TestWorkerPool:
         assert seen == []  # no CPU count: one worker, so no pool
 
 
+class TestRuns:
+    def test_runs_cover_the_replications_in_order(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for count, n, jobs, size in [
+            (100, 200, 1, 21),  # ceil(4096 / 200)
+            (100, 200, 2, 12),  # 2 workers: capped at 100 // (4 * 2)
+            (5, 200, 2, 1),
+            (3, 100_000, 1, 1),
+            (7, 60, 1, 69),
+            (0, 60, 1, 69),
+        ]:
+            runs = harness._runs(count, n, jobs)
+            assert [rep for run in runs for rep in run] == list(range(count))
+            assert all(len(run) == size for run in runs[:-1])
+            assert all(0 < len(run) <= size for run in runs)
+
+    def test_run_size_does_not_change_results(self, monkeypatch):
+        # Runs of one replication, the grouping before batching existed,
+        # must give every study the same numbers as the default runs.
+        experiment = small_config()
+        convergence = ConvergenceConfig(seed=1000, **TestConvergence.CFG)
+        moments = MomentCheckConfig(
+            distribution=MAXWELL, x_list=(0.5, 1.0), b=0.1, n=100, seed=7, replications=6
+        )
+
+        def studies():
+            report = run_experiment(experiment)
+            return (
+                report.per_replication_ise,
+                [ev.derivative.tobytes() for ev in report.curves.values()],
+                convergence_result_dict(convergence, convergence_study(convergence)),
+                moment_check_dict(asymptotic_moment_check(moments)),
+            )
+
+        assert len(harness._runs(4, 60, 1)) == 1
+        batched = studies()
+        monkeypatch.setattr(harness, "_RUN_ENTRIES", 1)
+        assert len(harness._runs(4, 60, 1)) == 4
+        assert studies() == batched
+
+
 class TestRunExperiment:
     def test_report_contents(self):
         cfg = small_config()

@@ -208,3 +208,47 @@ def test_shape_rule_property(x, b):
         want = (x / (2.0 * b)) ** 2 + 1.0
         assert abs(rho - want) <= 4.0 * math.ulp(want)
         assert 1.0 <= rho < 2.0
+
+
+class TestUnbufferedPasses:
+    """fill_kernel narrows numpy's ufunc buffer and always puts it back."""
+
+    PLAN = KernelPlan([0.05, 0.5, 1.0], 0.1)
+    T = np.array([0.2, 0.7, 1.5, 3.0])
+
+    @pytest.mark.parametrize("start", [np.getbufsize(), 4096])
+    def test_restored_after_return(self, start):
+        old = np.setbufsize(start)
+        try:
+            out = np.empty((3, self.T.size))
+            self.PLAN.fill_kernel(slice(0, 3), np.log(self.T), self.T / 0.1, out)
+            assert np.getbufsize() == start
+        finally:
+            np.setbufsize(old)
+        want = [kernel_value(x, 0.1, self.T) for x in (0.05, 0.5, 1.0)]
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("start", [np.getbufsize(), 4096])
+    def test_restored_after_raise(self, start):
+        old = np.setbufsize(start)
+        try:
+            wrong_shape = np.empty((3, self.T.size + 1))
+            with pytest.raises(ValueError):
+                self.PLAN.fill_kernel(slice(0, 3), np.log(self.T), self.T / 0.1, wrong_shape)
+            assert np.getbufsize() == start
+        finally:
+            np.setbufsize(old)
+
+
+def test_tiny_bandwidth_computes_each_branch_on_its_points():
+    # At b = 1e-300 the boundary formulas overflow (half * half) on interior
+    # points, and 2 b^2 underflows to 0; pytest turns a RuntimeWarning into
+    # an error.
+    b = 1e-300
+    plan = KernelPlan([0.0, 1e-300, 0.02, 4.0], b)
+    assert plan.interior.tolist() == [False, False, True, True]
+    assert plan.rho[0] == 1.0 and plan.rho[1] == 1.25
+    assert plan.rho[2] == 0.02 / b and plan.rho[3] == 4.0 / b
+    assert plan.prefactor[0] == 0.0 and plan.prefactor[1] == 0.5 / b
+    assert plan.prefactor[2] == plan.prefactor[3] == 1.0 / b
+    assert np.all(np.isfinite(plan.lognorm[2:])) and np.all(np.isfinite(plan.psi))
