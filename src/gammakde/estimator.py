@@ -176,30 +176,9 @@ def derivative_at(sample: Sample, b: float, x: float) -> float:
     return float(deriv[0, 0])
 
 
-def _checked_grid(grid) -> np.ndarray:
-    """grid as a 1-D float array, checked to be non-empty and strictly increasing.
-
-    The kernel plan checks that the points are finite and >= 0, and b.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    return grid
-
-
-def _evaluations(samples: list, b: float, grid: np.ndarray) -> list[GridEvaluation]:
-    density, derivative = _core(samples, grid, b)
-    return [
-        GridEvaluation(grid=grid, density=dens, derivative=deriv, bandwidth=float(b))
-        for dens, deriv in zip(density, derivative)
-    ]
-
-
 def evaluate_on_grid(sample: Sample, b: float, grid) -> GridEvaluation:
     """Evaluate both estimates on a strictly increasing grid of points."""
-    return _evaluations([sample], b, _checked_grid(grid))[0]
+    return evaluate_batch([sample], b, grid)[0]
 
 
 def evaluate_batch(samples, b: float, grid) -> list[GridEvaluation]:
@@ -210,9 +189,20 @@ def evaluate_batch(samples, b: float, grid) -> list[GridEvaluation]:
     Either way every result equals the sample's own evaluate_on_grid bit
     for bit.
     """
-    grid = _checked_grid(grid)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+    # The kernel plan checks that the points are finite and >= 0, and b.
     samples = list(samples)
     # A lone sample needs no count (a float count costs about 1 ns per value).
     if len(samples) > 1 and len({(s.n, np.count_nonzero(s.values)) for s in samples}) > 1:
-        return [ev for s in samples for ev in _evaluations([s], b, grid)]
-    return _evaluations(samples, b, grid) if samples else []
+        return [evaluate_batch([s], b, grid)[0] for s in samples]
+    if not samples:
+        return []
+    density, derivative = _core(samples, grid, b)
+    return [
+        GridEvaluation(grid=grid, density=dens, derivative=deriv, bandwidth=float(b))
+        for dens, deriv in zip(density, derivative)
+    ]
