@@ -19,7 +19,10 @@ Cost model: each pointwise formula makes one closed-form evaluation,
 ref.derivs, whichever of f, f' and f'' it reads. The global integrals of a
 built-in reference (ref.params set) are closed-form Gamma sums and call no
 integrand; any other reference is integrated by quadrature, with one
-ref.derivs evaluation per integrand call.
+ref.derivs evaluation per integrand call. Each SELECTORS entry evaluates
+the integrals its rule needs on every call, which for a built-in reference
+is a cache lookup (see refdens); bandwidth_report evaluates each set once
+for all three rules, so a reference without params is integrated once.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "chen_constants",
     "chen_bandwidth",
     "BandwidthConstants",
-    "SelectorIntegrals",
     "SELECTORS",
     "BandwidthReport",
     "bandwidth_report",
@@ -478,50 +480,13 @@ class BandwidthConstants:
         )
 
 
-class SelectorIntegrals:
-    """The integrals the selectors consume for one reference density.
-
-    Each set is evaluated on first use and at most once: a failure is kept
-    and raised again to every later selector that needs the same integrals.
-    """
-
-    def __init__(self, ref: ReferenceDensity):
-        self.ref = ref
-        self._memo: dict = {}
-
-    def _once(self, key: str, compute):
-        if key not in self._memo:
-            try:
-                self._memo[key] = compute(self.ref)
-            except (numerics.IntegrationError, ValueError) as exc:
-                self._memo[key] = exc
-        value = self._memo[key]
-        if isinstance(value, Exception):
-            raise value
-        return value
-
-    def mise(self) -> MiseIntegrals:
-        return self._once("mise", mise_integrals)
-
-    def chen(self) -> tuple[float, float]:
-        """The reference-rule pair (V, beta) of chen_constants."""
-        return self._once("chen", chen_constants)
-
-    def constants(self, n: int) -> BandwidthConstants:
-        return BandwidthConstants.build(self.mise(), n, *self.chen())
-
-
-# Every global selector as fn(integrals, n) -> bandwidth. The entries look
-# the selector functions up when called, not when this table is built, so a
+# Every global selector as fn(ref, n) -> bandwidth. The entries look the
+# selector functions up when called, not when this table is built, so a
 # module attribute replaced later (as bench/tracer.py does) is the one used.
-SELECTORS: dict[str, Callable[[SelectorIntegrals, int], float]] = {
-    "plugin": lambda ints, n: global_bandwidth_plugin(
-        ints.ref, n, integrals=ints.mise()
-    ),
-    "refined": lambda ints, n: refined_bandwidth(
-        ints.ref, n, integrals=ints.mise()
-    ).b_refined,
-    "chen": lambda ints, n: _chen_from_constants(*ints.chen(), _check_n(n)),
+SELECTORS: dict[str, Callable[[ReferenceDensity, int], float]] = {
+    "plugin": lambda ref, n: global_bandwidth_plugin(ref, n),
+    "refined": lambda ref, n: refined_bandwidth(ref, n).b_refined,
+    "chen": lambda ref, n: chen_bandwidth(ref, n),
 }
 
 
@@ -537,14 +502,20 @@ class BandwidthReport:
 
 
 def bandwidth_report(ref: ReferenceDensity, n: int) -> BandwidthReport:
-    """Compute all selectors and the constants needed to audit them."""
+    """Compute all selectors and the constants needed to audit them.
+
+    Each set of integrals is evaluated once, in the selectors' order
+    (plug-in, refined, reference), so the first failure is the one raised.
+    """
     n = _check_n(n)
-    ints = SelectorIntegrals(ref)
-    b = {name: select(ints, n) for name, select in SELECTORS.items()}
+    ints = mise_integrals(ref)
+    b_plugin = global_bandwidth_plugin(ref, n, integrals=ints)
+    b_refined = refined_bandwidth(ref, n, integrals=ints).b_refined
+    v, beta = chen_constants(ref)
     return BandwidthReport(
         n=n,
-        b_plugin=b["plugin"],
-        b_refined=b["refined"],
-        b_chen=b["chen"],
-        constants=ints.constants(n),
+        b_plugin=b_plugin,
+        b_refined=b_refined,
+        b_chen=_chen_from_constants(v, beta, n),
+        constants=BandwidthConstants.build(ints, n, v, beta),
     )

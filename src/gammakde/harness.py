@@ -365,7 +365,6 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
     grid = cfg.grid.array()
     truth = np.asarray(ref.d1(grid), dtype=float)
 
-    integrals = asymptotics.SelectorIntegrals(ref)
     bandwidths: dict = {}
     failures: dict = {}
     for mode in cfg.bandwidth_modes:
@@ -374,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
             if isinstance(mode, FixedBandwidth):
                 bandwidths[label] = mode.value
             else:
-                bandwidths[label] = asymptotics.SELECTORS[mode](integrals, cfg.n)
+                bandwidths[label] = asymptotics.SELECTORS[mode](ref, cfg.n)
         except (numerics.IntegrationError, numerics.NoRootError, ValueError) as exc:
             failures[label] = f"{type(exc).__name__}: {exc}"
 
@@ -382,7 +381,9 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
     constants = None
     if {"plugin", "refined"} & set(cfg.bandwidth_modes):
         try:
-            constants = integrals.constants(cfg.n)
+            constants = asymptotics.BandwidthConstants.build(
+                asymptotics.mise_integrals(ref), cfg.n, *asymptotics.chen_constants(ref)
+            )
         except (numerics.IntegrationError, ValueError):
             constants = None
 
@@ -540,9 +541,8 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     ref = reference_for(cfg.distribution)
     grid = cfg.grid.array()
     truth = np.asarray(ref.d1(grid), dtype=float)
-    integrals = asymptotics.SelectorIntegrals(ref)
     plugin = asymptotics.SELECTORS["plugin"]
-    bandwidths = {n: plugin(integrals, n) for n in cfg.n_list}
+    bandwidths = {n: plugin(ref, n) for n in cfg.n_list}
     tasks = [
         (cfg.distribution, n, [derived_seed(cfg.seed, i, rep) for rep in run], grid,
          (bandwidths[n],))
@@ -672,12 +672,20 @@ def asymptotic_moment_check(
         mc_var = np.full(xs.shape, np.nan)
 
     rows = []
+    notes = []
     for j, (x, (bias, var_pred)) in enumerate(zip(xs, predicted)):
         truth = float(ref.d1(x))
         if cfg.replications > 1:
             se = math.sqrt(mc_var[j] / cfg.replications)
             bias_z = (mc_mean[j] - truth - bias) / se if se > 0.0 else float("nan")
-            variance_ratio = mc_var[j] / var_pred
+            if var_pred != 0.0:
+                variance_ratio = mc_var[j] / var_pred
+            else:
+                variance_ratio = float("nan")
+                notes.append(
+                    f"the predicted variance at x={float(x)!r} is 0, so its "
+                    "variance ratio is undefined and reported as null"
+                )
         else:
             bias_z = float("nan")
             variance_ratio = float("nan")
@@ -693,7 +701,6 @@ def asymptotic_moment_check(
                 variance_ratio=float(variance_ratio),
             )
         )
-    notes = []
     if cfg.replications < 2:
         notes.append(
             "single replication: Monte Carlo variances (and the statistics "

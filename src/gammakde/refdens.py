@@ -16,7 +16,9 @@ names the family, which is how the selectors find these closed forms; a
 reference without params is integrated by quadrature. Cost model: the
 exact algebra runs once per process for each name (Maxwell, where sigma
 then enters as one power) or each (m, name) (chi-square), in a bounded
-cache; every later call is a lookup and, for Maxwell, a multiply.
+cache; every later call is a lookup and, for Maxwell, a multiply. So the
+selectors keep no integrals of their own: each one asks again, and a study
+that runs all three asks two or three times for the same values.
 
 Sampling reduces everything to standard normals: a Maxwell draw is the norm
 of three of them scaled by sigma, and a chi-square draw with m degrees of
@@ -106,37 +108,25 @@ def _fields(arr: np.ndarray, f, d1, d2) -> PdfDerivs:
 def maxwell_pdf_derivs(params: MaxwellParams, x) -> PdfDerivs:
     """Maxwell density and derivatives; x may be scalar or ndarray, x >= 0.
 
-    f(x)  = sqrt(2/pi) x^2 exp(-x^2 / (2 sigma^2)) / sigma^3
-    f'(x) = -sqrt(2/pi) x (x^2 - 2 sigma^2) exp(-x^2 / (2 sigma^2)) / sigma^5
-    f''(x) = sqrt(2/pi) (x^4 - 5 sigma^2 x^2 + 2 sigma^4)
-             exp(-x^2 / (2 sigma^2)) / sigma^7
+    In u = x / sigma, with phi(u) = sqrt(2/pi) u^2 exp(-u^2 / 2):
 
-    Where sigma^7 overflows (sigma above about 1.3e44), the same density is
-    evaluated in u = x / sigma, dividing by sigma one factor at a time:
-    f = phi(u) / sigma, f' = phi'(u) / sigma^2 and f'' = phi''(u) / sigma^3
-    with phi(u) = sqrt(2/pi) u^2 exp(-u^2 / 2). Below that the sigma-power
-    form is kept: the u form rounds differently at sigma != 1, where
-    tests/data/quadrature_golden.txt pins the bits.
+    f(x)   = phi(u) / sigma
+    f'(x)  = -sqrt(2/pi) u (u^2 - 2) exp(-u^2 / 2) / sigma^2
+    f''(x) = sqrt(2/pi) (u^4 - 5 u^2 + 2) exp(-u^2 / 2) / sigma^3
+
+    dividing by sigma one factor at a time, so no power of sigma leaves the
+    float range. u is capped at 40, where exp(-u^2 / 2) is already 0.0, so
+    a point far out in the tail (or a tiny sigma) gives 0.0, not nan.
     """
     arr = np.asarray(x, dtype=float)
     if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise ValueError("maxwell_pdf_derivs requires finite x >= 0")
     sigma = params.sigma
-    try:
-        s3, s5, s7 = sigma**3, sigma**5, sigma**7
-    except OverflowError:
-        u = arr / sigma
-        base = _SQRT_2_OVER_PI * np.exp(-u * u / 2.0)
-        f = base * u * u / sigma
-        d1 = -base * u * (u * u - 2.0) / sigma / sigma
-        d2 = base * (u**4 - 5.0 * u * u + 2.0) / sigma / sigma / sigma
-        return _fields(arr, f, d1, d2)
-    s2 = sigma * sigma
-    expo = np.exp(-arr * arr / (2.0 * s2))
-    base = _SQRT_2_OVER_PI * expo
-    f = base * arr * arr / s3
-    d1 = -base * arr * (arr * arr - 2.0 * s2) / s5
-    d2 = base * (arr**4 - 5.0 * s2 * arr * arr + 2.0 * s2 * s2) / s7
+    u = np.minimum(arr, 40.0 * sigma) / sigma
+    base = _SQRT_2_OVER_PI * np.exp(-u * u / 2.0)
+    f = base * u * u / sigma
+    d1 = -base * u * (u * u - 2.0) / sigma / sigma
+    d2 = base * (u**4 - 5.0 * u * u + 2.0) / sigma / sigma / sigma
     return _fields(arr, f, d1, d2)
 
 

@@ -172,6 +172,32 @@ class TestReproduce:
                 numbers += [float(v) for v in row.values()]
         assert numbers and all(math.isfinite(v) for v in numbers)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma, grid",
+        [(1e-300, None), (1.0, {"max": 1e300})],
+        ids=["tiny_sigma", "huge_grid_max"],
+    )
+    def test_truth_far_in_the_tail_is_zero(self, tmp_path, capsys, sigma, grid):
+        # x / sigma overflows, or x^2 and x^4 do: the truth there is 0.0, not
+        # nan, so every number in every file is finite and nothing warns.
+        config = {
+            "distribution": {"name": "maxwell", "sigma": sigma},
+            "n": 50,
+            "seed": 3,
+            "replications": 2,
+            "bandwidth_modes": [{"fixed": 0.1}],
+        }
+        cfg = write_config(tmp_path, config if grid is None else {**config, "grid": grid})
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        numbers = list(_json_numbers(json.loads((out / "report.json").read_text())))
+        with open(out / "curve_fixed_0.1.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                numbers += [float(v) for v in row.values()]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+
     def test_tiny_fixed_bandwidth_runs(self, tmp_path, capsys):
         # At b = 1e-300 every grid point is interior; the kernel plan must not
         # evaluate the boundary formulas there (pytest makes their
@@ -434,6 +460,32 @@ class TestVerifyLemmas:
         data = json.loads((out / "moment_check.json").read_text())
         assert [row["x"] for row in data["rows"]] == [0.5, 1.0]
         assert "variance ratio" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_predicted_variance_gives_a_null_ratio_and_a_note(self, tmp_path):
+        # At x = 1e300 the density, its slope and so the predicted variance
+        # are 0: the ratio is null, with a note naming x, and nothing warns.
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": {"name": "maxwell", "sigma": 1.0},
+                "x_list": [1.0, 1e300],
+                "b": 0.1,
+                "n": 50,
+                "seed": 5,
+                "replications": 3,
+            },
+        )
+        out = tmp_path / "mc"
+        assert main(["verify-lemmas", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        data = json.loads((out / "moment_check.json").read_text())
+        near, far = data["rows"]
+        assert math.isfinite(near["variance_ratio"])
+        assert far["predicted_variance"] == 0.0 and far["variance_ratio"] is None
+        assert data["notes"] == [
+            "the predicted variance at x=1e+300 is 0, so its variance ratio is "
+            "undefined and reported as null"
+        ]
 
     @pytest.mark.parametrize(
         "x, b, message",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gammakde import harness
+from gammakde.asymptotics import SELECTORS
 from gammakde.harness import (
     BandwidthsConfig,
     ConfigError,
@@ -26,7 +27,14 @@ from gammakde.harness import (
 )
 from gammakde.ioutil import json_text, round_floats
 from gammakde.kernels import kernel_x_derivative
-from gammakde.refdens import ChiSquareParams, MaxwellParams, derived_seed, sample
+from gammakde.numerics import IntegrationError, NoRootError
+from gammakde.refdens import (
+    ChiSquareParams,
+    MaxwellParams,
+    derived_seed,
+    reference_for,
+    sample,
+)
 
 MAXWELL = MaxwellParams()
 SMALL_GRID = GridSpec(min=0.05, max=3.5, points=40)
@@ -43,6 +51,14 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _selector_failure(cfg: ExperimentConfig, mode: str) -> str:
+    """The failure of one selector run alone, as bandwidth_errors words it."""
+    ref = reference_for(cfg.distribution)
+    with pytest.raises((IntegrationError, NoRootError, ValueError)) as exc_info:
+        SELECTORS[mode](ref, cfg.n)
+    return f"{type(exc_info.value).__name__}: {exc_info.value}"
 
 
 class TestGridSpec:
@@ -373,6 +389,21 @@ class TestRunExperiment:
         write_report(rep, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert set(data["bandwidth_errors"]) == {"plugin", "refined", "chen"}
+        # Each message is the one its selector raises when it runs alone.
+        for mode, message in rep.bandwidth_errors.items():
+            assert message == _selector_failure(cfg, mode)
+
+    def test_refined_root_outside_the_window_is_reported_alone(self):
+        cfg = small_config(
+            distribution=MaxwellParams(sigma=1e-4), replications=1,
+            bandwidth_modes=("plugin", "refined"),
+        )
+        rep = run_experiment(cfg)
+        assert list(rep.bandwidths) == ["plugin"]
+        assert rep.bandwidth_errors == {"refined": _selector_failure(cfg, "refined")}
+        assert rep.bandwidth_errors["refined"].startswith(
+            "NoRootError: stationarity residual has no sign change"
+        )
 
     def test_fixed_mode_survives_selector_failures(self, tmp_path):
         cfg = ExperimentConfig(

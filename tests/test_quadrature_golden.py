@@ -19,7 +19,8 @@ A change that is meant to move these results regenerates the file with
 
     PYTHONPATH=src python tests/test_quadrature_golden.py
 
-and says in its change log which lines moved and why.
+which prints how many lines moved under each section header before it
+writes, and says in its change log which lines moved and why.
 """
 
 import math
@@ -110,32 +111,66 @@ def _with_quadratures(fn, *args) -> list[str]:
     return lines
 
 
-def golden_lines() -> list[str]:
-    lines = []
+def golden_sections() -> list[tuple[str, list[str]]]:
+    """(header, lines) for every case, in file order."""
+    sections = []
     for family, param, make in REFERENCES:
         ref = quadrature_only(make(param))
         for fn in (mise_integrals, chen_constants):
-            lines.append(f"{family}({param!r}) {fn.__name__}")
-            lines += _with_quadratures(fn, ref)
+            header = f"{family}({param!r}) {fn.__name__}"
+            sections.append((header, _with_quadratures(fn, ref)))
         for n in (200, 2000):
-            lines.append(f"{family}({param!r}) bandwidth_report n={n}")
-            lines.append(_outcome(bandwidth_report, ref, n))
+            header = f"{family}({param!r}) bandwidth_report n={n}"
+            sections.append((header, [_outcome(bandwidth_report, ref, n)]))
     cases = [(name, r, a) for name in INTEGRANDS for r in REL_TOLS for a in ABS_TOLS]
     cases += [(name, r, 1e-9) for name in ZERO_INTEGRANDS for r in REL_TOLS]
     cases.append(BUDGET_CASE)
     integrands = {**INTEGRANDS, **ZERO_INTEGRANDS}
     for name, rel_tol, abs_tol in cases:
-        lines.append(f"{name} rel_tol={rel_tol!r} abs_tol={abs_tol!r}")
-        lines.append(_outcome(
+        header = f"{name} rel_tol={rel_tol!r} abs_tol={abs_tol!r}"
+        sections.append((header, [_outcome(
             numerics.integrate_semi_infinite, integrands[name], rel_tol, abs_tol=abs_tol
-        ))
-    return lines
+        )]))
+    return sections
+
+
+def _lines(sections) -> list[str]:
+    return [line for header, body in sections for line in (header, *body)]
+
+
+def moved_lines(old_lines: list[str], sections) -> dict[str, int]:
+    """Per section header, how many lines differ from the old file's section.
+
+    Lines are compared by position; each line one side has beyond the other
+    counts as moved, and so does every line under a header the old file lacks.
+    """
+    headers = {header for header, _ in sections}
+    old: dict = {}
+    body = None
+    for line in old_lines:
+        if line in headers:
+            body = old.setdefault(line, [])
+        elif body is not None:
+            body.append(line)
+    moved = {}
+    for header, new in sections:
+        before = old.get(header, [])
+        count = sum(a != b for a, b in zip(new, before)) + abs(len(new) - len(before))
+        if count:
+            moved[header] = count
+    return moved
 
 
 def test_quadrature_matches_golden_bytes():
-    got = "\n".join(golden_lines()) + "\n"
+    got = "\n".join(_lines(golden_sections())) + "\n"
     assert got == GOLDEN.read_text()
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(golden_lines()) + "\n")
+    sections = golden_sections()
+    lines = _lines(sections)
+    moved = moved_lines(GOLDEN.read_text().splitlines(), sections)
+    for header, count in moved.items():
+        print(f"{count:4d}  {header}")
+    print(f"{sum(moved.values())} of {len(lines)} lines moved; writing {GOLDEN}")
+    GOLDEN.write_text("\n".join(lines) + "\n")

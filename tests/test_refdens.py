@@ -77,10 +77,13 @@ def test_maxwell_sigma_scaling():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("sigma", [1e40, 1e44, 2e44, 1e65, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize(
+    "sigma", [1e-100, 1e-40, 1e40, 1e44, 2e44, 1e65, 1e100, 1e200, 1e300]
+)
 def test_maxwell_scaling_past_the_float_range_of_sigma_powers(sigma):
     # f = phi(u)/sigma, f' = phi'(u)/sigma^2, f'' = phi''(u)/sigma^3 in
-    # u = x/sigma, on both sides of where sigma^7 overflows (about 1.3e44).
+    # u = x/sigma, on both sides of where sigma^7 leaves the float range
+    # (below about 1e-44 and above about 1.3e44).
     u = np.array([0.0, 0.25, 1.0, math.sqrt(2.0), 3.0, 8.0])
     unit = maxwell_pdf_derivs(MaxwellParams(), u)
     got = maxwell_pdf_derivs(MaxwellParams(sigma=sigma), u * sigma)
