@@ -189,20 +189,38 @@ def evaluate_batch(samples, b: float, grid) -> list[GridEvaluation]:
     Either way every result equals the sample's own evaluate_on_grid bit
     for bit.
     """
+    grid, density, derivative = _estimate_batch(samples, b, grid)
+    return [
+        GridEvaluation(grid=grid, density=dens, derivative=deriv, bandwidth=float(b))
+        for dens, deriv in zip(density, derivative)
+    ]
+
+
+def _estimate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid and the checked (R, m) density and derivative estimates of samples.
+
+    Row r holds sample r's estimates, with the bits of its own
+    evaluate_on_grid. The checks of GridEvaluation run once for the batch,
+    with its messages; the kernel plan checks that the points are finite
+    and >= 0, and b.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    # The kernel plan checks that the points are finite and >= 0, and b.
     samples = list(samples)
-    # A lone sample needs no count (a float count costs about 1 ns per value).
-    if len(samples) > 1 and len({(s.n, np.count_nonzero(s.values)) for s in samples}) > 1:
-        return [evaluate_batch([s], b, grid)[0] for s in samples]
     if not samples:
-        return []
-    density, derivative = _core(samples, grid, b)
-    return [
-        GridEvaluation(grid=grid, density=dens, derivative=deriv, bandwidth=float(b))
-        for dens, deriv in zip(density, derivative)
-    ]
+        return grid, np.empty((0, grid.size)), np.empty((0, grid.size))
+    # An estimate that overflows is inf or nan, which the checks below report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A lone sample needs no count (a float count costs about 1 ns per value).
+        if len(samples) > 1 and len({(s.n, np.count_nonzero(s.values)) for s in samples}) > 1:
+            density, derivative = map(np.vstack, zip(*(_core([s], grid, b) for s in samples)))
+        else:
+            density, derivative = _core(samples, grid, b)
+    if not np.all(np.isfinite(density)) or np.any(density < 0.0):
+        raise ValueError("density values must be finite and >= 0")
+    if not np.all(np.isfinite(derivative)):
+        raise ValueError("derivative values must be finite")
+    return grid, density, derivative

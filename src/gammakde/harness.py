@@ -17,10 +17,12 @@ with a seed derived from (config seed, r), or (config seed, size index, r)
 on the converge ladder. A task is a run of consecutive replications at one
 sample size: it draws each replication's sample from that replication's own
 seed and evaluates the run in one estimator batch, which gives every
-replication the bits it would have alone. The parent reduces the results
-replication by replication, in index order, so reports are byte-identical
-for a fixed config no matter how the replications are grouped into tasks or
-how many worker processes execute them.
+replication the bits it would have alone. The parent reduces each run as
+arrays (the ISEs of a run are one trapezoid along the rows of its estimates,
+and a row's sum is the pairwise sum of a one-row call) and takes the
+results in replication order, so reports are byte-identical for a fixed
+config no matter how the replications are grouped into tasks or how many
+worker processes execute them.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, numerics
 from .asymptotics import BandwidthConstants
-from .estimator import evaluate_batch
+from .estimator import GridEvaluation, _estimate_batch
 from .ioutil import write_csv, write_json
 from .refdens import (
     ChiSquareParams,
@@ -191,6 +192,11 @@ class GridSpec:
         if not (math.isfinite(self.max) and self.max > self.min):
             raise ConfigError(f"grid max must exceed min, got {self.max!r}")
         _check_integer("grid points", self.points, 2)
+        if np.any(np.diff(self.array()) <= 0.0):
+            raise ConfigError(
+                f"grid ({self.min!r}, {self.max!r}] is too narrow for {self.points} "
+                "distinct points"
+            )
 
     def array(self) -> np.ndarray:
         step = (self.max - self.min) / self.points
@@ -307,9 +313,49 @@ class ExperimentReport:
     notes: list
 
 
-def _ise(estimate: np.ndarray, truth: np.ndarray, grid: np.ndarray) -> float:
-    diff = estimate - truth
-    return float(_trapezoid(diff * diff, grid))
+# Largest ISE a report takes. Below it, the std of up to 1e8 replications'
+# ISEs (a sum of squared deviations) stays in the float range.
+_ISE_MAX = 1e150
+
+
+def _true_derivative(ref, grid: np.ndarray) -> np.ndarray:
+    """The reference density's derivative on the grid; DegenerateIntegralError if it overflows."""
+    with np.errstate(over="ignore"):  # tested below; the unused f'' may overflow first
+        truth = np.asarray(ref.d1(grid), dtype=float)
+    if not np.all(np.isfinite(truth)):
+        raise numerics.DegenerateIntegralError(
+            f"the true derivative overflows the float range on the grid "
+            f"[{float(grid[0])!r}, {float(grid[-1])!r}] of {grid.size} points"
+        )
+    return truth
+
+
+def _ise_of_run(derivative: np.ndarray, truth, grid, label: str, n: int) -> list:
+    """The ISE of each row of a run's (R, m) derivative estimates, as floats.
+
+    An ISE that overflows, or exceeds _ISE_MAX, raises DegenerateIntegralError
+    naming the mode and the sample size.
+    """
+    with np.errstate(over="ignore"):  # the largest ISE is tested below
+        diff = derivative - truth
+        ise = _trapezoid(diff * diff, grid, axis=1)
+    worst = float(ise.max())
+    if not worst <= _ISE_MAX:
+        raise numerics.DegenerateIntegralError(
+            f"the ISE of mode {label!r} at n={n} overflows: it reaches {worst!r}, "
+            f"above {_ISE_MAX!r}, past which the statistics of the ISEs leave the "
+            "float range"
+        )
+    return ise.tolist()
+
+
+def _median(values: list) -> float:
+    """np.median of a non-empty list of floats, bit for bit, without numpy.ma."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
 
 
 # Kernel entries a task's run of replications puts in one estimator row:
@@ -333,11 +379,23 @@ def _runs(count: int, n: int, jobs: int) -> list[range]:
 def _replicate(args) -> list:
     """A run of replications: seeded samples, evaluated once per bandwidth.
 
-    Returns, per replication in run order, its evaluations in bandwidth order.
+    Returns, per (mode label, bandwidth) pair, the density estimate of the
+    run's first replication and the (R, m) derivative estimates of the run,
+    one row per replication in run order. Estimates that fail their checks,
+    as when they overflow, raise DegenerateIntegralError naming the mode.
     """
-    dist, n, seeds, points, bandwidths = args
+    dist, n, seeds, points, modes = args
     samples = [sample(dist, n, seed) for seed in seeds]
-    return list(zip(*(evaluate_batch(samples, b, points) for b in bandwidths)))
+    out = []
+    for label, b in modes:
+        try:
+            _, density, derivative = _estimate_batch(samples, b, points)
+        except ValueError as exc:
+            raise numerics.DegenerateIntegralError(
+                f"the estimates of mode {label!r} at n={n} leave the float range: {exc}"
+            ) from exc
+        out.append((density[0], derivative))
+    return out
 
 
 def _map_tasks(task_fn, tasks: list, jobs: int):
@@ -363,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
     """
     ref = reference_for(cfg.distribution)
     grid = cfg.grid.array()
-    truth = np.asarray(ref.d1(grid), dtype=float)
+    truth = _true_derivative(ref, grid)
 
     bandwidths: dict = {}
     failures: dict = {}
@@ -387,30 +445,39 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
         except (numerics.IntegrationError, ValueError):
             constants = None
 
-    b_values = tuple(bandwidths.values())
+    modes = tuple(bandwidths.items())
+    runs = _runs(cfg.replications if modes else 0, cfg.n, jobs)
     tasks = [
-        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], grid,
-         b_values)
-        for run in _runs(cfg.replications if b_values else 0, cfg.n, jobs)
+        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], grid, modes)
+        for run in runs
     ]
     per_replication = []
     ise_by_mode: dict = {label: [] for label in bandwidths}
     curves: dict = {}
-    results = chain.from_iterable(_map_tasks(_replicate, tasks, jobs))
-    for rep, evaluations in enumerate(results):
-        if rep == 0:
-            curves = dict(zip(bandwidths, evaluations))
-        for label, ev in zip(bandwidths, evaluations):
-            ise = _ise(ev.derivative, truth, grid)
-            per_replication.append({"replication": rep, "mode": label, "ise": ise})
-            ise_by_mode[label].append(ise)
+    for run, estimates in zip(runs, _map_tasks(_replicate, tasks, jobs)):
+        if not curves:
+            curves = {
+                label: GridEvaluation(grid, density, derivative[0], float(b))
+                for (label, b), (density, derivative) in zip(modes, estimates)
+            }
+        ises = {
+            label: _ise_of_run(derivative, truth, grid, label, cfg.n)
+            for (label, _), (_, derivative) in zip(modes, estimates)
+        }
+        for label, values in ises.items():
+            ise_by_mode[label].extend(values)
+        per_replication.extend(
+            {"replication": rep, "mode": label, "ise": values[i]}
+            for i, rep in enumerate(run)
+            for label, values in ises.items()
+        )
 
     summary = {}
     for label, values in ise_by_mode.items():
         arr = np.asarray(values)
         summary[label] = {
             "mean": float(arr.mean()),
-            "median": float(np.median(arr)),
+            "median": _median(values),
             "std": float(arr.std(ddof=1)) if arr.size > 1 else float("nan"),
         }
 
@@ -540,21 +607,22 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     """
     ref = reference_for(cfg.distribution)
     grid = cfg.grid.array()
-    truth = np.asarray(ref.d1(grid), dtype=float)
+    truth = _true_derivative(ref, grid)
     plugin = asymptotics.SELECTORS["plugin"]
     bandwidths = {n: plugin(ref, n) for n in cfg.n_list}
+    runs = [
+        (i, n, run) for i, n in enumerate(cfg.n_list) for run in _runs(cfg.replications, n, jobs)
+    ]
     tasks = [
         (cfg.distribution, n, [derived_seed(cfg.seed, i, rep) for rep in run], grid,
-         (bandwidths[n],))
-        for i, n in enumerate(cfg.n_list)
-        for run in _runs(cfg.replications, n, jobs)
+         (("plugin", bandwidths[n]),))
+        for i, n, run in runs
     ]
-    # Replications arrive size by size, each size's in index order.
-    ladder = [i for i in range(len(cfg.n_list)) for _ in range(cfg.replications)]
     sums = np.zeros(len(cfg.n_list))
-    results = chain.from_iterable(_map_tasks(_replicate, tasks, jobs))
-    for i, (ev,) in zip(ladder, results):
-        sums[i] += _ise(ev.derivative, truth, grid)
+    for (i, n, _), [(_, derivative)] in zip(runs, _map_tasks(_replicate, tasks, jobs)):
+        # Added one by one, in replication order, as the sum has always been.
+        for ise in _ise_of_run(derivative, truth, grid, "plugin", n):
+            sums[i] += ise
     mise = sums / cfg.replications
     for n, m in zip(cfg.n_list, mise):
         if not m > 0.0:  # the log-log fit needs every mean ISE positive
@@ -659,11 +727,13 @@ def asymptotic_moment_check(
     except ValueError as exc:
         raise ConfigError(f"no leading terms for this x_list and b: {exc}") from exc
     tasks = [
-        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], xs, (cfg.b,))
+        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], xs,
+         ((FixedBandwidth(cfg.b).label, cfg.b),))
         for run in _runs(cfg.replications, cfg.n, jobs)
     ]
-    results = chain.from_iterable(_map_tasks(_replicate, tasks, jobs))
-    estimates = np.vstack([ev.derivative for (ev,) in results])
+    estimates = np.vstack(
+        [derivative for [(_, derivative)] in _map_tasks(_replicate, tasks, jobs)]
+    )
 
     mc_mean = estimates.mean(axis=0)
     if cfg.replications > 1:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import gammakde
 from gammakde.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_PARTIAL, main
 
 MAXWELL_EXPERIMENT = {
@@ -171,6 +173,55 @@ class TestReproduce:
             for row in csv.DictReader(fh):
                 numbers += [float(v) for v in row.values()]
         assert numbers and all(math.isfinite(v) for v in numbers)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (1e-60, "the ISE of mode 'fixed_1e-61' at n=50 overflows: it reaches 5.29"),
+            (1e-100, "the ISE of mode 'fixed_1e-101' at n=50 overflows: it reaches inf,"),
+            (1e-154, "the estimates of mode 'fixed_1e-155' at n=50 leave the float "
+                     "range: derivative values must be finite"),
+            (1e-200, "the true derivative overflows the float range on the grid"),
+        ],
+    )
+    def test_tiny_sigma_overflow_fails_cleanly(self, tmp_path, capsys, sigma, message):
+        # The mirror of test_extreme_sigma_runs: the slope is of order
+        # sigma^-2, so the ISE, the estimates or the truth itself overflow.
+        # One line on stderr naming what overflowed, no warning, no files.
+        cfg = write_config(
+            tmp_path,
+            {
+                "distribution": {"name": "maxwell", "sigma": sigma},
+                "n": 50,
+                "seed": 3,
+                "replications": 2,
+                "grid": {"min": 0.05 * sigma, "max": 4.0 * sigma, "points": 10},
+                "bandwidth_modes": [{"fixed": 0.1 * sigma}],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["reproduce", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    def test_fresh_run_does_not_import_numpy_ma(self, tmp_path):
+        # The ISE median is taken without np.median, whose first call
+        # imports numpy.ma (about 20 ms).
+        cfg = write_config(tmp_path, MAXWELL_EXPERIMENT)
+        code = (
+            "import sys; from gammakde.cli import main; "
+            f"rc = main(['reproduce', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)"
+        )
+        src = str(Path(gammakde.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stderr == f"{EXIT_OK} False\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

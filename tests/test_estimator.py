@@ -343,6 +343,26 @@ class TestBatch:
         for samples in (same_zeros, ragged, ragged[::-1]):
             assert_same_bits(evaluate_batch(samples, 0.05, grid), samples, 0.05, grid)
 
+    def test_checked_arrays_are_the_evaluations(self):
+        samples = [draw_sample(MaxwellParams(), 30, derived_seed(4, r)) for r in range(5)]
+        grid = GridSpec(points=40).array()
+        points, density, derivative = estimator._estimate_batch(samples, 0.1, grid)
+        assert density.shape == derivative.shape == (5, 40)
+        for ev, dens, deriv in zip(evaluate_batch(samples, 0.1, grid), density, derivative):
+            assert np.array_equal(ev.grid, points)
+            assert np.array_equal(ev.density, dens)
+            assert np.array_equal(ev.derivative, deriv)
+
+    def test_an_estimate_that_overflows_fails_its_check(self):
+        # sigma = 1e-154 puts the slope estimates near 1e308; the product of
+        # the kernel prefactor and a derivative sum overflows. No warning
+        # (pytest makes RuntimeWarnings errors), one ValueError.
+        sigma = 1e-154
+        samples = [draw_sample(MaxwellParams(sigma), 50, derived_seed(3, r)) for r in range(2)]
+        grid = GridSpec(min=0.05 * sigma, max=4.0 * sigma, points=10).array()
+        with pytest.raises(ValueError, match="derivative values must be finite"):
+            evaluate_batch(samples, 0.1 * sigma, grid)
+
     def test_empty_batch_and_checks(self):
         s = Sample(np.array([1.0, 2.0]))
         assert evaluate_batch([], 0.1, [0.5, 1.0]) == []

@@ -25,9 +25,9 @@ from gammakde.harness import (
     run_experiment,
     write_report,
 )
-from gammakde.ioutil import json_text, round_floats
+from gammakde.ioutil import json_text, round_floats, write_csv
 from gammakde.kernels import kernel_x_derivative
-from gammakde.numerics import IntegrationError, NoRootError
+from gammakde.numerics import DegenerateIntegralError, IntegrationError, NoRootError
 from gammakde.refdens import (
     ChiSquareParams,
     MaxwellParams,
@@ -81,6 +81,7 @@ class TestGridSpec:
             {"min": 0.5, "max": 0.5},
             {"points": 1},
             {"points": 0},
+            {"min": 1.0, "max": 1.0 + 1e-14},  # steps below the spacing of floats
         ],
     )
     def test_validation(self, kwargs):
@@ -301,6 +302,49 @@ class TestRuns:
         monkeypatch.setattr(harness, "_RUN_ENTRIES", 1)
         assert len(harness._runs(4, 60, 1)) == 4
         assert studies() == batched
+
+
+class TestRunReductions:
+    """The reductions of a whole run equal the one-row computations bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 2, 21])
+    @pytest.mark.parametrize("m", [2, 3, 400])
+    def test_ise_of_run_matches_the_one_row_trapezoid(self, count, m):
+        rng = np.random.default_rng(1000 * count + m)
+        grid = np.sort(rng.uniform(0.0, 4.0, size=m))
+        truth = rng.normal(size=m)
+        derivative = truth + rng.normal(scale=0.3, size=(count, m))
+        got = harness._ise_of_run(derivative, truth, grid, "plugin", 200)
+        assert all(type(v) is float for v in got)
+        for row, ise in zip(derivative, got):
+            diff = row - truth
+            want = float(harness._trapezoid(diff * diff, grid))
+            assert ise.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3],
+            [0.3, 0.1],
+            [0.1, 0.3, 0.2],
+            [0.1, 0.2, 0.2, 0.1],
+            [0.2, 0.2, 0.2],
+            [1.0, 2.0 ** -1074, 1e300, 1e300],
+        ],
+    )
+    def test_median_matches_numpy(self, values):
+        rng = np.random.default_rng(len(values))
+        for case in (values, list(rng.uniform(size=100)), list(rng.uniform(size=101))):
+            want = float(np.median(np.asarray(case)))
+            assert harness._median(case).hex() == want.hex()
+
+    def test_ise_overflow_is_a_numerical_failure(self):
+        truth = np.array([0.0, 1.0, 0.0])
+        grid = np.array([0.0, 1.0, 2.0])
+        for peak in (1e100, 1e200):  # an ISE above 1e150, and one that is inf
+            derivative = np.array([[0.0, 1.0, 0.0], [0.0, peak, 0.0]])
+            with pytest.raises(DegenerateIntegralError, match=r"mode 'chen' at n=7 overflows"):
+                harness._ise_of_run(derivative, truth, grid, "chen", 7)
 
 
 class TestRunExperiment:
@@ -554,6 +598,19 @@ class TestSerialization:
         assert round_floats(7) == 7
         with pytest.raises(ValueError):
             round_floats(float("inf"))
+
+    def test_csv_table_matches_the_per_value_format(self, tmp_path):
+        special = [-0.0, 5e-324, -1e-300, 1e300, 2.0, 0.0, 1.0 / 3.0]
+        rng = np.random.default_rng(5)
+        columns = {
+            "x": np.array(special + list(rng.uniform(0.0, 4.0, size=50))),
+            "y": np.array(special[::-1] + list(rng.normal(size=50))),
+            "z": np.array(special + list(rng.normal(scale=1e-200, size=50))),
+        }
+        write_csv(columns, tmp_path / "t.csv")
+        lines = [",".join(columns)]
+        lines += [",".join(format(v, ".12g") for v in row) for row in zip(*columns.values())]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_json_text_is_ascii_with_trailing_newline(self):
         text = json_text({"x": 1.0 / 3.0})
