@@ -117,20 +117,6 @@ def _measure(command: str, jobs: int, split: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _commit() -> str | None:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def _child_main(command: str, jobs: str, split: str) -> int:
     with open(os.devnull, "w") as devnull:
         stdout, sys.stdout = sys.stdout, devnull  # the CLI's own summary lines
@@ -151,6 +137,7 @@ def main(argv=None) -> int:
         parser.error("--rounds must be >= 1")
 
     import numpy as np
+    from bench_estimator import _commit  # the script beside this one
 
     cases = [(command, jobs) for command in CONFIGS for jobs in JOBS]
     study = {case: [] for case in cases}

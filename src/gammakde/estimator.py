@@ -219,8 +219,10 @@ def _estimate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np
             density, derivative = map(np.vstack, zip(*(_core([s], grid, b) for s in samples)))
         else:
             density, derivative = _core(samples, grid, b)
-    if not np.all(np.isfinite(density)) or np.any(density < 0.0):
+    # Array methods, not np.all/np.any: their Python wrappers cost more than a
+    # run's checks.
+    if not (np.isfinite(density).all() and (density >= 0.0).all()):
         raise ValueError("density values must be finite and >= 0")
-    if not np.all(np.isfinite(derivative)):
+    if not np.isfinite(derivative).all():
         raise ValueError("derivative values must be finite")
     return grid, density, derivative

@@ -322,7 +322,7 @@ def _true_derivative(ref, grid: np.ndarray) -> np.ndarray:
     """The reference density's derivative on the grid; DegenerateIntegralError if it overflows."""
     with np.errstate(over="ignore"):  # tested below; the unused f'' may overflow first
         truth = np.asarray(ref.d1(grid), dtype=float)
-    if not np.all(np.isfinite(truth)):
+    if not np.isfinite(truth).all():
         raise numerics.DegenerateIntegralError(
             f"the true derivative overflows the float range on the grid "
             f"[{float(grid[0])!r}, {float(grid[-1])!r}] of {grid.size} points"
