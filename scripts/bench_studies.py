@@ -7,8 +7,10 @@ Each measurement is one fresh interpreter that imports gammakde.cli, writes
 its config, then times one ``gammakde.cli.main`` call (the study time: the
 numbers and the output files, as a user's process pays for them, lazy
 imports and cold caches included; interpreter start and the import of the
-package are not in it). The configs are those of the benchmark's
-workloads (``bench/workloads.py``):
+package are not in it). Around the same call, ``getrusage`` of the process
+and of its reaped children (the pool's workers, at --jobs 2) gives the
+minor page faults and the system CPU time of the study. The configs are
+those of the benchmark's workloads (``bench/workloads.py``):
 
 * reproduce: Maxwell sigma = 1, n = 200, 100 replications, default grid,
   the three bandwidth rules (mc_small_n);
@@ -34,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -71,6 +74,12 @@ JOBS = (1, 2)
 SPLIT = ("core", "sampling", "seeding")
 
 
+def _usage() -> tuple[int, float]:
+    """Minor page faults and system CPU seconds of this process and its reaped children."""
+    both = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    return sum(u.ru_minflt for u in both), sum(u.ru_stime for u in both)
+
+
 def _child(command: str, jobs: int, split: bool) -> dict:
     """One fresh-process measurement; run with --child."""
     import gammakde.cli
@@ -99,11 +108,13 @@ def _child(command: str, jobs: int, split: bool) -> dict:
             argvs.append([command, "--config", str(path), "--out", str(Path(work) / "out"),
                           "--jobs", str(jobs)])
         codes = []
+        usage = _usage()
         start = time.perf_counter()
         for argv in argvs:
             codes.append(gammakde.cli.main(argv))
         study = time.perf_counter() - start
-    result = {"study_s": study, "exit_codes": codes}
+        minflt, sys_s = (after - before for after, before in zip(_usage(), usage))
+    result = {"study_s": study, "exit_codes": codes, "minflt": minflt, "sys_s": sys_s}
     if split:
         result["split_s"] = {**spent, "rest": study - sum(spent.values())}
     return result
@@ -141,6 +152,8 @@ def main(argv=None) -> int:
 
     cases = [(command, jobs) for command in CONFIGS for jobs in JOBS]
     study = {case: [] for case in cases}
+    faults = {case: [] for case in cases}
+    system = {case: [] for case in cases}
     split = {key: [] for key in (*SPLIT, "rest")}
     codes = {}
     for _ in range(args.rounds):
@@ -148,6 +161,8 @@ def main(argv=None) -> int:
             with_split = command == "reproduce" and jobs == 1
             got = _measure(command, jobs, with_split)
             study[command, jobs].append(got["study_s"])
+            faults[command, jobs].append(got["minflt"])
+            system[command, jobs].append(got["sys_s"])
             codes[command, jobs] = got["exit_codes"]
             if with_split:
                 for key, value in got["split_s"].items():
@@ -161,11 +176,16 @@ def main(argv=None) -> int:
             "exit_codes": codes[command, jobs],
             "study_s": statistics.median(study[command, jobs]),
             "study_s_rounds": study[command, jobs],
+            "minflt": statistics.median(faults[command, jobs]),
+            "minflt_rounds": faults[command, jobs],
+            "sys_s": statistics.median(system[command, jobs]),
+            "sys_s_rounds": system[command, jobs],
         }
         for command, jobs in cases
     ]
     record = {
-        "what": "study time of the CLI subcommands on the benchmark configs, fresh process each",
+        "what": ("study time, minor page faults and system CPU of the CLI subcommands "
+                 "on the benchmark configs, fresh process each"),
         "commit": _commit(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
@@ -181,6 +201,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for row in rows:
         print(f"{row['command']:<14} jobs={row['jobs']}  {1e3 * row['study_s']:8.1f} ms  "
+              f"{row['minflt']:8.0f} minor faults  {1e3 * row['sys_s']:7.1f} ms sys  "
               f"exit {row['exit_codes']}")
     for key, row in record["reproduce_split_jobs1"].items():
         print(f"reproduce jobs=1 {key:<9} {1e3 * row['median_s']:8.1f} ms")

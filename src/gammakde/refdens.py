@@ -24,7 +24,12 @@ Sampling reduces everything to standard normals: a Maxwell draw is the norm
 of three of them scaled by sigma, and a chi-square draw with m degrees of
 freedom is a sum of m squares. Normals come from a counter-based generator
 (Philox) keyed through numpy's SeedSequence, so per-replication streams can
-be split deterministically regardless of execution order.
+be split deterministically regardless of execution order. They are drawn
+in chunks of whole rows, as many as fit in 2^15 normals (256 KiB) and at
+least one, into one reused buffer, squared in place and reduced straight
+into the draws, so a sample of n holds 8n bytes and one chunk whatever the
+family. The stream runs on across chunks and each row is reduced on its
+own, so the chunks change no bit of any draw.
 """
 
 from __future__ import annotations
@@ -390,6 +395,10 @@ def _selector_integrals(
     return tuple(_chi_square_integral(params.m, name) for name in names)
 
 
+# Normals drawn per chunk (256 KiB), rounded down to whole rows.
+_CHUNK_NORMALS = 2**15
+
+
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -413,19 +422,31 @@ def sample(params: MaxwellParams | ChiSquareParams, n: int, seed: int) -> Sample
     """Draw n observations; identical (params, n, seed) give identical draws."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    rng = _generator(seed)
     if isinstance(params, MaxwellParams):
-        g = rng.standard_normal((n, 3))
-        g *= g
-        # numpy sums a row of fewer than 8 entries left to right, so adding
-        # the columns gives the bits of g.sum(axis=1) without the reduction.
-        values = params.sigma * np.sqrt(g[:, 0] + g[:, 1] + g[:, 2])
+        width = 3
     elif isinstance(params, ChiSquareParams):
-        g = rng.standard_normal((n, params.m))
-        g *= g
-        # From 8 entries numpy sums a row pairwise; column additions differ
-        # from that in 31-85% of rows for m = 8..200, so the reduction stays.
-        values = g.sum(axis=1)
+        width = params.m
     else:
         raise TypeError(f"unsupported distribution parameters: {params!r}")
+    rng = _generator(seed)
+    values = np.empty(n)
+    rows = max(1, _CHUNK_NORMALS // width)
+    chunk = np.empty((rows, width))
+    for start in range(0, n, rows):
+        out = values[start : start + rows]
+        g = chunk[: out.size]
+        rng.standard_normal(out=g)
+        g *= g
+        if isinstance(params, MaxwellParams):
+            # numpy sums a row of fewer than 8 entries left to right, so adding
+            # the columns gives the bits of g.sum(axis=1) without the reduction.
+            np.add(g[:, 0], g[:, 1], out=out)
+            out += g[:, 2]
+            np.sqrt(out, out=out)
+            out *= params.sigma
+        else:
+            # From 8 entries numpy sums a row pairwise; column additions differ
+            # from that in 31-85% of rows for m = 8..200, so the reduction stays.
+            g.sum(axis=1, out=out)
+    del chunk, g  # freed before the checks of Sample allocate their masks
     return Sample(values=values)

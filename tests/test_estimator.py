@@ -248,6 +248,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
 
+    def test_peak_is_one_workspace_at_verify_lemmas_shape(self):
+        # At n = 1e5 a block is one row, so the workspace is four sample-length
+        # rows (log t, t / b, log(t / b) and the kernel); no other
+        # sample-length array is allocated, not even a copy of the sample.
+        n = 100_000
+        s = draw_sample(MaxwellParams(), n, 4)
+        estimator._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            evaluate_on_grid(s, 0.05, np.array([0.5, 1.0, 2.0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n
+
 
 class TestPlanMemo:
     def test_warm_equals_cold(self):

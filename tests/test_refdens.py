@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,8 +242,14 @@ def _old_formula_draws(m: int, n: int, seed: int) -> np.ndarray:
     return (g * g).sum(axis=1)
 
 
+def _across_chunks(width: int) -> list:
+    """Sample sizes on either side of the sampler's first and second chunk boundary."""
+    rows = refdens._CHUNK_NORMALS // width
+    return [rows - 1, rows, rows + 1, 2 * rows + 1]
+
+
 @pytest.mark.parametrize("seed", [1, 42, 20260815])
-@pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+@pytest.mark.parametrize("n", [1, 7, 1000, 100_000, *_across_chunks(3)])
 @pytest.mark.parametrize("sigma", [1e-3, 1.0, 10.0])
 def test_maxwell_draws_equal_row_reduction(sigma, n, seed):
     want = sigma * np.sqrt(_old_formula_draws(3, n, seed))
@@ -250,10 +257,37 @@ def test_maxwell_draws_equal_row_reduction(sigma, n, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 42])
-@pytest.mark.parametrize("m", [3, 8, 50])
-def test_chi_square_draws_equal_row_reduction(m, seed):
-    want = _old_formula_draws(m, 1000, seed)
-    assert np.array_equal(sample(ChiSquareParams(m=m), 1000, seed).values, want)
+@pytest.mark.parametrize(
+    "m, n",
+    [pytest.param(m, 1000, id=str(m)) for m in (3, 8, 50)]
+    + [pytest.param(m, n, id=f"{m}-n{n}") for m in (3, 8, 50) for n in _across_chunks(m)]
+    + [pytest.param(3, 100_000, id="3-n100000")],
+)
+def test_chi_square_draws_equal_row_reduction(m, n, seed):
+    want = _old_formula_draws(m, n, seed)
+    assert np.array_equal(sample(ChiSquareParams(m=m), n, seed).values, want)
+
+
+class TestMemory:
+    """The sampler holds its n draws and one chunk of normals, nothing sample-length more."""
+
+    N = 100_000
+    # The generator and its seed sequence, a few hundred bytes each.
+    SMALL = 16 * 2**10
+
+    @pytest.mark.parametrize(
+        "params", [MaxwellParams(), ChiSquareParams(m=3), ChiSquareParams(m=50)],
+        ids=["maxwell", "chi2-3", "chi2-50"],
+    )
+    def test_peak_is_the_draws_and_one_chunk(self, params):
+        sample(params, 10, 1)  # numpy.random's lazy import is not the sampler's
+        tracemalloc.start()
+        try:
+            sample(params, self.N, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * self.N + 8 * refdens._CHUNK_NORMALS + self.SMALL
 
 
 def test_sample_positive():
