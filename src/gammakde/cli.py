@@ -68,7 +68,7 @@ def _load_config(args, cls, default: dict | None = None):
     else:
         try:
             obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # not JSON, not UTF-8, or an overlong integer
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     cfg = cls.from_dict(obj)
     if getattr(args, "seed", None) is not None:

@@ -187,13 +187,13 @@ def _core(samples: list, xs: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarr
 
 def density_at(sample: Sample, b: float, x: float) -> float:
     """Kernel density estimate at a single point x >= 0."""
-    dens, _ = _core([sample], np.array([x], dtype=float), b)
+    _, dens, _ = _estimate_batch([sample], b, [x])
     return float(dens[0, 0])
 
 
 def derivative_at(sample: Sample, b: float, x: float) -> float:
     """Kernel estimate of the density derivative at a single point x >= 0."""
-    _, deriv = _core([sample], np.array([x], dtype=float), b)
+    _, _, deriv = _estimate_batch([sample], b, [x])
     return float(deriv[0, 0])
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,7 +92,7 @@ class ConfigError(ValueError):
     """A configuration file or value is malformed."""
 
 
-def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+def _check_integer(name: str, value, lo: int, hi: float | None = None) -> None:
     """Accept only an integer in [lo, hi]; floats and booleans are not cast."""
     if (
         isinstance(value, bool)
@@ -191,7 +192,7 @@ class GridSpec:
             raise ConfigError(f"grid min must be >= 0, got {self.min!r}")
         if not (math.isfinite(self.max) and self.max > self.min):
             raise ConfigError(f"grid max must exceed min, got {self.max!r}")
-        _check_integer("grid points", self.points, 2)
+        _check_integer("grid points", self.points, 2, 100_000)
         if np.any(np.diff(self.array()) <= 0.0):
             raise ConfigError(
                 f"grid ({self.min!r}, {self.max!r}] is too narrow for {self.points} "
@@ -251,7 +252,8 @@ class BandwidthsConfig(_JsonConfig):
     _parsers = {"distribution": _distribution, "output_dir": _directory}
 
     def __post_init__(self):
-        _check_integer("n", self.n, 1)
+        # A larger n cannot be a float, and the selectors compute in floats.
+        _check_integer("n", self.n, 1, sys.float_info.max)
 
 
 @dataclass(frozen=True)

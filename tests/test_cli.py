@@ -328,7 +328,7 @@ class TestBandwidths:
         )
         assert main(["bandwidths", "--config", cfg]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("n", [0, "abc", 200.7, True])
+    @pytest.mark.parametrize("n", [0, "abc", 200.7, True, pytest.param(10**400, id="1e400")])
     def test_bad_sample_size_is_a_config_error(self, tmp_path, capsys, n):
         cfg = write_config(
             tmp_path, {"distribution": {"name": "maxwell", "sigma": 1.0}, "n": n}
@@ -373,6 +373,15 @@ class TestBandwidths:
     def test_numerical_failure_exit(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"distribution": {"name": "chi_square", "m": 3}, "n": 100}
+        )
+        assert main(
+            ["bandwidths", "--config", cfg, "--out", str(tmp_path / "bw")]
+        ) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_a_sample_size_in_the_float_range_reaches_the_selectors(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"distribution": {"name": "maxwell", "sigma": 1.0}, "n": 10**300}
         )
         assert main(
             ["bandwidths", "--config", cfg, "--out", str(tmp_path / "bw")]
@@ -660,6 +669,10 @@ class TestParserReuse:
         assert all(fresh[name][3] for name in SMALL_RUNS)
         assert all(fresh[key][0] == 0 and "usage:" in fresh[key][1]
                    for key in argvs if key.endswith("--help"))
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"n": "\xe9"}')
+        long_int = tmp_path / "long_int.json"  # past Python's int-from-text limit
+        long_int.write_text('{"n": 1' + "0" * 5000 + "}")
 
         for _ in range(2):
             for key, argv in argvs.items():
@@ -672,5 +685,9 @@ class TestParserReuse:
                 code, _, err, _ = _in_process([name, "--config", str(tmp_path)], capsys)
                 assert code == EXIT_CONFIG
                 assert err.startswith(f"configuration error: cannot read config file {tmp_path}")
+                for bad in (not_utf8, long_int):
+                    code, _, err, _ = _in_process([name, "--config", str(bad)], capsys)
+                    assert code == EXIT_CONFIG
+                    assert err.startswith(f"configuration error: cannot read config file {bad}")
                 code, _, err, _ = _in_process(["frobnicate"], capsys)
                 assert code == 2 and "invalid choice: 'frobnicate'" in err

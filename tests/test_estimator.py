@@ -377,6 +377,9 @@ class TestBatch:
         grid = GridSpec(min=0.05 * sigma, max=4.0 * sigma, points=10).array()
         with pytest.raises(ValueError, match="derivative values must be finite"):
             evaluate_batch(samples, 0.1 * sigma, grid)
+        # The one-point estimate takes the same checked path.
+        with pytest.raises(ValueError, match="derivative values must be finite"):
+            derivative_at(samples[0], 0.1 * sigma, 0.445 * sigma)
 
     def test_empty_batch_and_checks(self):
         s = Sample(np.array([1.0, 2.0]))

@@ -82,6 +82,7 @@ class TestGridSpec:
             {"points": 1},
             {"points": 0},
             {"min": 1.0, "max": 1.0 + 1e-14},  # steps below the spacing of floats
+            {"points": 10**12},  # 7.28 TiB of points
         ],
     )
     def test_validation(self, kwargs):
