@@ -8,8 +8,8 @@ point) pair, on two paths over the same samples: evaluate_on_grid called
 once per sample, and evaluate_batch called once on the samples a study
 task holds (ceil(4096 / n) replications, as the harness groups them).
 Sizes n = 200, 500, 2000 and 8000 use the default 400-point grid at the
-plug-in bandwidth; n = 1e5 uses the points and bandwidth of the
-moments_pool workload.
+plug-in bandwidth; then the moments_pool workload's n (1e5), points and
+bandwidth.
 
 Each study is one fresh interpreter that imports gammakde.cli, writes the
 configs of the benchmark's workloads (``bench/workloads.py``, full size),
@@ -31,7 +31,7 @@ it writes anything.
 Each value is the median over --rounds rounds, and every round runs every
 core case and every study once, so slow phases of the host spread over
 all of them. The file also records the commit, the CPU count and the
-Python and numpy versions. One round takes about 12 seconds.
+Python and numpy versions. One round takes about 8 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from gammakde import estimator, harness
 
 HERE = Path(__file__).resolve().parent
 SEED = 1  # of the study configs and the core's samples
-SIZES = (200, 500, 2000, 8000, 100_000)
+SIZES = (200, 500, 2000, 8000)  # on the default grid; then the moments_pool shape
 # Pairs per timed core call, at least: enough to swamp the clock's resolution.
 MIN_PAIRS = 20_000_000
 JOBS = (1, 2)
@@ -109,12 +109,12 @@ def child() -> None:
     print(json.dumps(result))
 
 
-def _core_cases(points: np.ndarray, b_large: float) -> list:
+def _core_cases(moments: dict) -> list:
     """(call, loops, pairs, row fields) of every core case, each call made once."""
     ref = gk.maxwell_reference(1.0)
     cases = []
-    for n in SIZES:
-        grid, b = (points, b_large) if n > 8000 else (
+    for n in (*SIZES, moments["n"]):
+        grid, b = (np.array(moments["x_list"]), moments["b"]) if n == moments["n"] else (
             gk.GridSpec().array(), gk.global_bandwidth_plugin(ref, n))
         run = -(-harness._RUN_ENTRIES // n)
         samples = [gk.sample(gk.MaxwellParams(1.0), n, gk.derived_seed(SEED, n, r))
@@ -170,8 +170,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS.values():
         for op in workload.ops(SEED, "full"):
             ops.setdefault(op.command, []).append(op)
-    moments = ops["verify-lemmas"][0].config
-    cores = _core_cases(np.array(moments["x_list"]), moments["b"])
+    cores = _core_cases(ops["verify-lemmas"][0].config)
     studies = [(command, jobs) for command in ops for jobs in JOBS]
 
     ns = [[] for _ in cores]
