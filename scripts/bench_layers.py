@@ -5,11 +5,15 @@
 
 The estimator core is timed in this process, in ns per (observation, grid
 point) pair, on two paths over the same samples: evaluate_on_grid called
-once per sample, and evaluate_batch called once on the samples a study
-task holds (ceil(4096 / n) replications, as the harness groups them).
-Sizes n = 200, 500, 2000 and 8000 use the default 400-point grid at the
-plug-in bandwidth; then the moments_pool workload's n (1e5), points and
-bandwidth.
+once per sample, and evaluate_batch, which returns the (R, m) arrays the
+studies reduce, called once on the samples a study task holds
+(ceil(4096 / n) replications, as the harness groups them). Sizes n = 200,
+500, 2000 and 8000 use the default 400-point grid at the plug-in
+bandwidth; then the moments_pool workload's n (1e5), points and bandwidth.
+Each round also times a reference kernel, np.exp in place over 2^14
+doubles (128 KiB, cache-resident), in ns per element, and each core row
+records its ns per pair over that round's reference as well: a host's
+speed and its slow phases move both, so the ratio compares across files.
 
 Each study is one fresh interpreter that imports gammakde.cli, writes the
 configs of the benchmark's workloads (``bench/workloads.py``, full size),
@@ -61,6 +65,7 @@ SIZES = (200, 500, 2000, 8000)  # on the default grid; then the moments_pool sha
 MIN_PAIRS = 20_000_000
 JOBS = (1, 2)
 SPLIT = ("core", "sampling", "seeding")
+EXP_ELEMENTS = 2**14  # of the reference kernel
 CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import bench_layers; bench_layers.child()"
 
 
@@ -134,6 +139,18 @@ def _core_cases(moments: dict) -> list:
     return cases
 
 
+def _exp_ns_per_element() -> float:
+    """One timing of the reference kernel: np.exp over EXP_ELEMENTS doubles, in place."""
+    x = np.linspace(-4.0, 0.0, EXP_ELEMENTS)
+    out = np.empty_like(x)
+    np.exp(x, out=out)  # warm the cache
+    loops = -(-MIN_PAIRS // EXP_ELEMENTS)
+    start = time.perf_counter()
+    for _ in range(loops):
+        np.exp(x, out=out)
+    return (time.perf_counter() - start) * 1e9 / (loops * EXP_ELEMENTS)
+
+
 def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
     spec = {"command": command, "jobs": jobs, "configs": configs, "split": split}
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(spec),
@@ -174,8 +191,10 @@ def main(argv=None) -> int:
     studies = [(command, jobs) for command in ops for jobs in JOBS]
 
     ns = [[] for _ in cores]
+    exp_ns = []
     got = {case: [] for case in studies}
     for _ in range(args.rounds):
+        exp_ns.append(_exp_ns_per_element())
         for times, (call, loops, pairs, _) in zip(ns, cores):
             start = time.perf_counter()
             for _ in range(loops):
@@ -190,7 +209,11 @@ def main(argv=None) -> int:
                                f"the benchmark expects {expected}; {args.out} not written\n")
             got[command, jobs].append(result)
 
-    rows = [{**fields, **_stat("ns_per_pair", times)} for times, (*_, fields) in zip(ns, cores)]
+    rows = [
+        {**fields, **_stat("ns_per_pair", times),
+         **_stat("ns_per_pair_over_exp", [t / e for t, e in zip(times, exp_ns)])}
+        for times, (*_, fields) in zip(ns, cores)
+    ]
     results = []
     for command, jobs in studies:
         runs = got[command, jobs]
@@ -202,7 +225,7 @@ def main(argv=None) -> int:
     split = {key: [r["split_s"][key] for r in got["reproduce", 1]] for key in (*SPLIT, "rest")}
     record = {
         "what": ("estimator core ns per (observation, grid point) pair, in the measuring "
-                 "process; study time, minor page faults and system CPU of the CLI "
+                 "process, also over the reference kernel's ns per element; study time, minor page faults and system CPU of the CLI "
                  "subcommands on the benchmark configs, a fresh process each"),
         "commit": _commit(),
         "cpu_count": os.cpu_count(),
@@ -210,6 +233,10 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "rounds": args.rounds,
+        "reference_kernel": {
+            "what": f"np.exp in place over {EXP_ELEMENTS} float64, ns per element",
+            **_stat("ns_per_element", exp_ns),
+        },
         "estimator": rows,
         "studies": results,
         "reproduce_split_jobs1": {
@@ -218,9 +245,10 @@ def main(argv=None) -> int:
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"reference kernel {record['reference_kernel']['ns_per_element']:.3f} ns/element")
     for row in rows:
         print(f"n={row['n']:<7} {row['path']:<17} samples={row['samples']:<3} "
-              f"{row['ns_per_pair']:.2f} ns/pair")
+              f"{row['ns_per_pair']:.2f} ns/pair  {row['ns_per_pair_over_exp']:.2f} x exp")
     for row in results:
         print(f"{row['command']:<14} jobs={row['jobs']}  {1e3 * row['study_s']:8.1f} ms  "
               f"{row['minflt']:8.0f} minor faults  {1e3 * row['sys_s']:7.1f} ms sys")

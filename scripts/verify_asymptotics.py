@@ -10,7 +10,8 @@ the quickest way to see that gap. The variance ratios sit near 1.
 Extra arguments pass through:
     python3 scripts/verify_asymptotics.py --out results --seed 7
 
-A minute or two single-threaded at the default scale.
+About 2 seconds single-threaded at the default scale (1.8-1.9 s on a
+2-vCPU x86 host with numpy 2.4, interpreter start included).
 """
 
 import sys

@@ -119,8 +119,12 @@ def bias_interior(ref: ReferenceDensity, x: float, b: float) -> float:
         raise ValueError(f"interior bias requires x >= 2 b, got x={x!r}, b={b!r}")
     if x * x == 0.0:
         raise ValueError(f"interior bias at x={x!r}: x^2 underflows to 0")
-    d = ref.derivs(x)
-    return b * (float(d.f) / (12.0 * x * x) + float(d.d2) / 4.0)
+    with np.errstate(all="ignore"):  # a term out of the float range is tested below
+        d = ref.derivs(x)
+    bias = b * (float(d.f) / (12.0 * x * x) + float(d.d2) / 4.0)
+    if not math.isfinite(bias):
+        raise ValueError(f"interior bias at x={x!r}, b={b!r} leaves the float range")
+    return bias
 
 
 def bias_boundary(ref: ReferenceDensity, b: float, kappa: float) -> float:
@@ -153,15 +157,17 @@ def variance_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float
     x = float(x)
     if not (math.isfinite(x) and x >= 2.0 * b):
         raise ValueError(f"interior variance requires x >= 2 b, got x={x!r}, b={b!r}")
-    scale = 2.0 * _SQRT_PI * n * b ** 1.5 * math.sqrt(x)
-    if x * x == 0.0 or scale == 0.0:
-        raise ValueError(
-            f"interior variance at x={x!r}, b={b!r}: x^2 or b^(3/2) sqrt(x) underflows to 0"
-        )
-    d = ref.derivs(x)
+    with np.errstate(all="ignore"):  # a term out of the float range is tested below
+        d = ref.derivs(x)
     f, d1 = float(d.f), float(d.d1)
-    bracket = f / (2.0 * x) + b * (f / (4.0 * x * x) - d1 / (4.0 * x))
-    return bracket / scale
+    try:
+        scale = 2.0 * _SQRT_PI * n * b ** 1.5 * math.sqrt(x)
+        variance = (f / (2.0 * x) + b * (f / (4.0 * x * x) - d1 / (4.0 * x))) / scale
+    except (OverflowError, ZeroDivisionError):  # b^(3/2) overflows, or x^2 or the scale underflows
+        scale = variance = math.nan
+    if not (math.isfinite(scale) and math.isfinite(variance)):
+        raise ValueError(f"interior variance at x={x!r}, b={b!r} leaves the float range")
+    return variance
 
 
 def squared_kernel_constant(x: float, b: float) -> float:

@@ -14,8 +14,8 @@ output_dir), --jobs (worker processes). Every subcommand but bandwidths,
 which draws no sample, takes --seed (override); bandwidths accepts --jobs
 for a uniform command line but runs in one process.
 
-The studies in `harness` compute and return their results; this module
-writes every output file.
+The studies in `harness` return their results; this module writes them,
+an experiment's report.json and curve CSVs through `harness.write_report`.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 partial results (some bandwidth rules failed; everything else written).

@@ -187,44 +187,31 @@ def _core(samples: list, xs: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarr
 
 def density_at(sample: Sample, b: float, x: float) -> float:
     """Kernel density estimate at a single point x >= 0."""
-    _, dens, _ = _estimate_batch([sample], b, [x])
+    _, dens, _ = evaluate_batch([sample], b, [x])
     return float(dens[0, 0])
 
 
 def derivative_at(sample: Sample, b: float, x: float) -> float:
     """Kernel estimate of the density derivative at a single point x >= 0."""
-    _, _, deriv = _estimate_batch([sample], b, [x])
+    _, _, deriv = evaluate_batch([sample], b, [x])
     return float(deriv[0, 0])
 
 
 def evaluate_on_grid(sample: Sample, b: float, grid) -> GridEvaluation:
     """Evaluate both estimates on a strictly increasing grid of points."""
-    return evaluate_batch([sample], b, grid)[0]
+    grid, density, derivative = evaluate_batch([sample], b, grid)
+    # evaluate_batch and the kernel plan ran every check of GridEvaluation.
+    return GridEvaluation._from_checked(grid, density[0], derivative[0], float(b))
 
 
-def evaluate_batch(samples, b: float, grid) -> list[GridEvaluation]:
-    """evaluate_on_grid of each sample in turn, computed together.
-
-    Samples that share their size and their count of exact zeros go
-    through the core in one batch; otherwise each goes through it alone.
-    Either way every result equals the sample's own evaluate_on_grid bit
-    for bit.
-    """
-    grid, density, derivative = _estimate_batch(samples, b, grid)
-    # _estimate_batch and the kernel plan ran every check of GridEvaluation.
-    return [
-        GridEvaluation._from_checked(grid, dens, deriv, float(b))
-        for dens, deriv in zip(density, derivative)
-    ]
-
-
-def _estimate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid and the checked (R, m) density and derivative estimates of samples.
+def evaluate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid and the (R, m) density and derivative estimates of R samples.
 
     Row r holds sample r's estimates, with the bits of its own
-    evaluate_on_grid. The checks of GridEvaluation run once for the batch,
-    with its messages; the kernel plan checks that the points are finite
-    and >= 0, and b.
+    evaluate_on_grid: samples that share their size and their count of
+    exact zeros go through the core in one batch, others one by one. The
+    checks of GridEvaluation run once for the batch, with its messages; the
+    kernel plan checks that the points are finite and >= 0, and b.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -234,8 +221,9 @@ def _estimate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np
     samples = list(samples)
     if not samples:
         return grid, np.empty((0, grid.size)), np.empty((0, grid.size))
-    # An estimate that overflows is inf or nan, which the checks below report.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # An estimate that overflows, or whose t/b underflows to 0 before its
+    # log, is inf or nan, which the checks below report.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # A lone sample needs no count (a float count costs about 1 ns per value).
         if len(samples) > 1 and len({(s.n, np.count_nonzero(s.values)) for s in samples}) > 1:
             density, derivative = map(np.vstack, zip(*(_core([s], grid, b) for s in samples)))

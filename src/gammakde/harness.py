@@ -1,7 +1,7 @@
 """Monte Carlo experiment harness.
 
-Three studies are provided, all driven by JSON-friendly configs. Each
-returns its result and writes no file; the command line writes them.
+Three studies, driven by JSON-friendly configs, return their results and
+write no file: the command line writes them, an experiment's through write_report.
 
 * run_experiment: repeated sampling at one sample size, derivative
   estimation on a grid under several bandwidth rules, integrated squared
@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import asymptotics, numerics
 from .asymptotics import BandwidthConstants
-from .estimator import GridEvaluation, _estimate_batch
+from .estimator import GridEvaluation, evaluate_batch
 from .ioutil import write_csv, write_json
 from .refdens import (
     ChiSquareParams,
@@ -312,6 +313,7 @@ class ExperimentReport:
     per_replication_ise: list
     summary: dict
     curves: dict
+    true_derivative: np.ndarray  # on the grid of the curves
     notes: list
 
 
@@ -322,7 +324,7 @@ _ISE_MAX = 1e150
 
 def _true_derivative(ref, grid: np.ndarray) -> np.ndarray:
     """The reference density's derivative on the grid; DegenerateIntegralError if it overflows."""
-    with np.errstate(over="ignore"):  # tested below; the unused f'' may overflow first
+    with np.errstate(all="ignore"):  # tested below; the unused f'' may overflow or divide by 0
         truth = np.asarray(ref.d1(grid), dtype=float)
     if not np.isfinite(truth).all():
         raise numerics.DegenerateIntegralError(
@@ -366,18 +368,6 @@ def _median(values: list) -> float:
 _RUN_ENTRIES = 4096
 
 
-def _runs(count: int, n: int, jobs: int) -> list[range]:
-    """Replications 0..count-1 at sample size n as runs of consecutive ones.
-
-    With a pool, runs are capped so that each worker still gets about four.
-    """
-    size = -(-_RUN_ENTRIES // n)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        size = min(size, max(1, count // (4 * workers)))
-    return [range(start, min(start + size, count)) for start in range(0, count, size)]
-
-
 def _replicate(args) -> list:
     """A run of replications: seeded samples, evaluated once per bandwidth.
 
@@ -391,7 +381,7 @@ def _replicate(args) -> list:
     out = []
     for label, b in modes:
         try:
-            _, density, derivative = _estimate_batch(samples, b, points)
+            _, density, derivative = evaluate_batch(samples, b, points)
         except ValueError as exc:
             raise numerics.DegenerateIntegralError(
                 f"the estimates of mode {label!r} at n={n} leave the float range: {exc}"
@@ -400,19 +390,33 @@ def _replicate(args) -> list:
     return out
 
 
-def _map_tasks(task_fn, tasks: list, jobs: int):
-    """Yield task_fn over tasks, in task order, on up to `jobs` processes.
+def _replications(dist, points, batches, jobs: int):
+    """Yield (batch index, run, estimates) for every run of every batch, in order.
 
-    The pool starts all of its workers at once, so it gets no more than
-    there are tasks or CPUs.
+    A batch (n, key, count, modes) is replications 0..count-1 at sample size
+    n, replication r drawn with the seed derived_seed(*key, r) and estimated
+    at points under each (label, b) of modes. A run is a range of
+    ceil(_RUN_ENTRIES / n) consecutive replications; with a pool, runs are
+    capped so that each worker still gets about four per batch. Each run is
+    one task, and its estimates are _replicate's. The pool gets no more
+    workers than there are tasks or CPUs, since it starts them all at once.
     """
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(task_fn, tasks)
-        return
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(task_fn, tasks, chunksize=chunk)
+    cpus = min(jobs, os.cpu_count() or 1)
+    runs, tasks = [], []
+    for i, (n, key, count, modes) in enumerate(batches):
+        size = -(-_RUN_ENTRIES // n)
+        if cpus > 1:
+            size = min(size, max(1, count // (4 * cpus)))
+        for start in range(0, count, size):
+            run = range(start, min(start + size, count))
+            runs.append((i, run))
+            tasks.append((dist, n, [derived_seed(*key, rep) for rep in run], points, modes))
+    workers = min(cpus, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = map(_replicate, tasks) if pool is None else pool.map(
+            _replicate, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        for (i, run), estimates in zip(runs, results):
+            yield i, run, estimates
 
 
 def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
@@ -448,15 +452,11 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
             constants = None
 
     modes = tuple(bandwidths.items())
-    runs = _runs(cfg.replications if modes else 0, cfg.n, jobs)
-    tasks = [
-        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], grid, modes)
-        for run in runs
-    ]
+    batch = (cfg.n, (cfg.seed,), cfg.replications if modes else 0, modes)
     per_replication = []
     ise_by_mode: dict = {label: [] for label in bandwidths}
     curves: dict = {}
-    for run, estimates in zip(runs, _map_tasks(_replicate, tasks, jobs)):
+    for _, run, estimates in _replications(cfg.distribution, grid, [batch], jobs):
         if not curves:
             curves = {
                 label: GridEvaluation(grid, density, derivative[0], float(b))
@@ -496,6 +496,7 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
         per_replication_ise=per_replication,
         summary=summary,
         curves=curves,
+        true_derivative=truth,
         notes=notes,
     )
 
@@ -548,10 +549,9 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     """Write report.json plus per-mode curve CSVs; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ref = reference_for(report.config.distribution)
     for label, ev in report.curves.items():
-        truth = np.asarray(ref.d1(ev.grid), dtype=float)
-        columns = {"x": ev.grid, "true_derivative": truth, "estimate": ev.derivative}
+        columns = {"x": ev.grid, "true_derivative": report.true_derivative,
+                   "estimate": ev.derivative}
         write_csv(columns, out / f"curve_{label}.csv")
     write_json(report_dict(report), out / "report.json")
     return out
@@ -612,18 +612,14 @@ def convergence_study(cfg: ConvergenceConfig, *, jobs: int = 1) -> ConvergenceRe
     truth = _true_derivative(ref, grid)
     plugin = asymptotics.SELECTORS["plugin"]
     bandwidths = {n: plugin(ref, n) for n in cfg.n_list}
-    runs = [
-        (i, n, run) for i, n in enumerate(cfg.n_list) for run in _runs(cfg.replications, n, jobs)
-    ]
-    tasks = [
-        (cfg.distribution, n, [derived_seed(cfg.seed, i, rep) for rep in run], grid,
-         (("plugin", bandwidths[n]),))
-        for i, n, run in runs
+    batches = [
+        (n, (cfg.seed, i), cfg.replications, (("plugin", bandwidths[n]),))
+        for i, n in enumerate(cfg.n_list)
     ]
     sums = np.zeros(len(cfg.n_list))
-    for (i, n, _), [(_, derivative)] in zip(runs, _map_tasks(_replicate, tasks, jobs)):
+    for i, _, [(_, derivative)] in _replications(cfg.distribution, grid, batches, jobs):
         # Added one by one, in replication order, as the sum has always been.
-        for ise in _ise_of_run(derivative, truth, grid, "plugin", n):
+        for ise in _ise_of_run(derivative, truth, grid, "plugin", cfg.n_list[i]):
             sums[i] += ise
     mise = sums / cfg.replications
     for n, m in zip(cfg.n_list, mise):
@@ -728,14 +724,10 @@ def asymptotic_moment_check(
         ]
     except ValueError as exc:
         raise ConfigError(f"no leading terms for this x_list and b: {exc}") from exc
-    tasks = [
-        (cfg.distribution, cfg.n, [derived_seed(cfg.seed, rep) for rep in run], xs,
-         ((FixedBandwidth(cfg.b).label, cfg.b),))
-        for run in _runs(cfg.replications, cfg.n, jobs)
-    ]
-    estimates = np.vstack(
-        [derivative for [(_, derivative)] in _map_tasks(_replicate, tasks, jobs)]
-    )
+    truth = _true_derivative(ref, xs)
+    batch = (cfg.n, (cfg.seed,), cfg.replications, ((FixedBandwidth(cfg.b).label, cfg.b),))
+    runs = _replications(cfg.distribution, xs, [batch], jobs)
+    estimates = np.vstack([derivative for _, _, [(_, derivative)] in runs])
 
     mc_mean = estimates.mean(axis=0)
     if cfg.replications > 1:
@@ -746,10 +738,9 @@ def asymptotic_moment_check(
     rows = []
     notes = []
     for j, (x, (bias, var_pred)) in enumerate(zip(xs, predicted)):
-        truth = float(ref.d1(x))
         if cfg.replications > 1:
             se = math.sqrt(mc_var[j] / cfg.replications)
-            bias_z = (mc_mean[j] - truth - bias) / se if se > 0.0 else float("nan")
+            bias_z = (mc_mean[j] - truth[j] - bias) / se if se > 0.0 else float("nan")
             if var_pred != 0.0:
                 variance_ratio = mc_var[j] / var_pred
             else:
@@ -766,7 +757,7 @@ def asymptotic_moment_check(
                 x=float(x),
                 mc_mean=float(mc_mean[j]),
                 mc_variance=float(mc_var[j]),
-                true_derivative=truth,
+                true_derivative=float(truth[j]),
                 predicted_bias=bias,
                 predicted_variance=var_pred,
                 bias_z=float(bias_z),

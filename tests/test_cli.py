@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -597,6 +598,60 @@ class TestVerifyLemmas:
         err = capsys.readouterr().err
         assert "configuration error: unknown config keys: ['output_dir']" in err
         assert not out.exists() and not (tmp_path / "cfg_out").exists()
+
+
+def _moments(dist, x_list, b, n, replications):
+    return {"distribution": dist, "x_list": x_list, "b": b, "n": n, "seed": 1,
+            "replications": replications}
+
+
+def _fixed(dist, grid, b, replications):
+    return {"distribution": dist, "n": 1, "seed": 1, "replications": replications,
+            "grid": grid, "bandwidth_modes": [{"fixed": b}]}
+
+
+# Inputs at the edge of the float range, each of which once exited 1 or
+# printed a RuntimeWarning: (subcommand, config, exit code).
+EDGE_INPUTS = {
+    # b^(3/2) overflows in the leading variance
+    "variance_scale_overflows": ("verify-lemmas", _moments(
+        {"name": "maxwell", "sigma": 1e-103}, [3e291, 6e292], 1e291, 3, 1), EXIT_CONFIG),
+    # the leading variance is inf
+    "variance_overflows": ("verify-lemmas", _moments(
+        {"name": "chi_square", "m": 3}, [2e-141, 2.6e-141], 6e-142, 1, 2), EXIT_CONFIG),
+    # the f'' of the leading bias overflows
+    "bias_overflows": ("verify-lemmas", _moments(
+        {"name": "chi_square", "m": 8}, [1e-155, 3e-154], 3e-157, 1, 2), EXIT_CONFIG),
+    # t/b underflows to 0 before its log
+    "t_over_b_underflows": ("reproduce", _fixed(
+        {"name": "maxwell", "sigma": 7e-154}, {"min": 0, "max": 2.7e272, "points": 3},
+        1e198, 2), EXIT_NUMERICAL),
+    # the unused f'' beside the true slope divides by x^2 = 0
+    "truth_beside_a_zero_square": ("reproduce", _fixed(
+        {"name": "chi_square", "m": 6}, {"min": 1e-300, "max": 2e-300, "points": 2},
+        0.1, 2), EXIT_OK),
+    # the unused f'' beside the true slope overflows
+    "truth_beside_an_overflow": ("reproduce", _fixed(
+        {"name": "chi_square", "m": 10000}, {"min": 1.2e215, "max": 3.4e216, "points": 2},
+        2.9e76, 1), EXIT_OK),
+}
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("case", EDGE_INPUTS)
+    def test_works_or_fails_in_one_line(self, tmp_path, capsys, case):
+        command, config, expected = EDGE_INPUTS[case]
+        cfg = write_config(tmp_path, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL) and code == expected
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # One small run of each subcommand; each writes into its own --out directory.

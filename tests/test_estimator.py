@@ -312,13 +312,14 @@ class TestPlanMemo:
 
 
 def assert_same_bits(batch, samples, b, grid):
-    assert len(batch) == len(samples)
-    for ev, s in zip(batch, samples):
+    points, density, derivative = batch
+    assert density.shape == derivative.shape == (len(samples), points.size)
+    for dens, deriv, s in zip(density, derivative, samples):
         one = evaluate_on_grid(s, b, grid)
-        assert ev.bandwidth == one.bandwidth
-        assert np.array_equal(ev.grid, one.grid)
-        assert np.array_equal(ev.density, one.density)
-        assert np.array_equal(ev.derivative, one.derivative)
+        assert one.bandwidth == b
+        assert np.array_equal(points, one.grid)
+        assert np.array_equal(dens, one.density)
+        assert np.array_equal(deriv, one.derivative)
 
 
 class TestBatch:
@@ -359,14 +360,17 @@ class TestBatch:
             assert_same_bits(evaluate_batch(samples, 0.05, grid), samples, 0.05, grid)
 
     def test_checked_arrays_are_the_evaluations(self):
+        # Each row passes GridEvaluation's own checks and is the sample's evaluation.
         samples = [draw_sample(MaxwellParams(), 30, derived_seed(4, r)) for r in range(5)]
         grid = GridSpec(points=40).array()
-        points, density, derivative = estimator._estimate_batch(samples, 0.1, grid)
+        points, density, derivative = evaluate_batch(samples, 0.1, grid)
         assert density.shape == derivative.shape == (5, 40)
-        for ev, dens, deriv in zip(evaluate_batch(samples, 0.1, grid), density, derivative):
-            assert np.array_equal(ev.grid, points)
-            assert np.array_equal(ev.density, dens)
-            assert np.array_equal(ev.derivative, deriv)
+        for s, dens, deriv in zip(samples, density, derivative):
+            ev = evaluate_on_grid(s, 0.1, grid)
+            checked = GridEvaluation(points, dens, deriv, 0.1)
+            assert np.array_equal(ev.grid, checked.grid)
+            assert np.array_equal(ev.density, checked.density)
+            assert np.array_equal(ev.derivative, checked.derivative)
 
     def test_an_estimate_that_overflows_fails_its_check(self):
         # sigma = 1e-154 puts the slope estimates near 1e308; the product of
@@ -383,7 +387,9 @@ class TestBatch:
 
     def test_empty_batch_and_checks(self):
         s = Sample(np.array([1.0, 2.0]))
-        assert evaluate_batch([], 0.1, [0.5, 1.0]) == []
+        points, density, derivative = evaluate_batch([], 0.1, [0.5, 1.0])
+        assert np.array_equal(points, [0.5, 1.0])
+        assert density.shape == derivative.shape == (0, 2)
         with pytest.raises(ValueError, match="strictly increasing"):
             evaluate_batch([s, s], 0.1, [0.5, 0.5])
         with pytest.raises(ValueError, match="bandwidth must be finite"):

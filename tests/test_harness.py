@@ -231,41 +231,60 @@ class TestConfigs:
             )
 
 
+class RecordingPool:
+    """A stand-in process pool that records its size and chunk size and maps in-process."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        self.seen.append(chunksize)
+        return map(fn, tasks)
+
+
+def replications(count, n, jobs, key=(5,)):
+    """(batch index, run, seeds) per run of one batch, drawing no sample."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_replicate", lambda task: task[2])
+        return list(harness._replications(MAXWELL, None, [(n, key, count, ())], jobs))
+
+
 class TestWorkerPool:
     def test_workers_clamped_to_tasks_and_cpus(self, monkeypatch):
-        # A recording stand-in: no process is ever started.
+        # No process is ever started.
         seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                seen.append(chunksize)
-                return map(fn, tasks)
-
+        monkeypatch.setattr(RecordingPool, "seen", seen)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        tasks = list(range(-40, 0))
-        assert list(harness._map_tasks(abs, tasks, 10_000)) == [abs(t) for t in tasks]
+        # At n = _RUN_ENTRIES every run, and so every task, is one replication.
+        n = harness._RUN_ENTRIES
+
+        def seeds(count, jobs):
+            return [seeds for _, _, seeds in replications(count, n, jobs)]
+
+        assert seeds(40, 10_000) == [[derived_seed(5, r)] for r in range(40)]
         assert seen == [4, 40 // (4 * 4)]
         seen.clear()
-        assert list(harness._map_tasks(abs, [-1, -2, -3], 10_000)) == [1, 2, 3]
+        assert seeds(3, 10_000) == [[derived_seed(5, r)] for r in range(3)]
         assert seen == [3, 1]
         seen.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert list(harness._map_tasks(abs, [-1, -2], 8)) == [1, 2]
+        assert seeds(2, 8) == [[derived_seed(5, r)] for r in range(2)]
         assert seen == []  # no CPU count: one worker, so no pool
 
 
 class TestRuns:
     def test_runs_cover_the_replications_in_order(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "seen", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         for count, n, jobs, size in [
             (100, 200, 1, 21),  # ceil(4096 / 200)
@@ -275,10 +294,22 @@ class TestRuns:
             (7, 60, 1, 69),
             (0, 60, 1, 69),
         ]:
-            runs = harness._runs(count, n, jobs)
+            got = replications(count, n, jobs)
+            runs = [run for _, run, _ in got]
             assert [rep for run in runs for rep in run] == list(range(count))
             assert all(len(run) == size for run in runs[:-1])
             assert all(0 < len(run) <= size for run in runs)
+            assert [seeds for *_, seeds in got] == [
+                [derived_seed(5, rep) for rep in run] for run in runs
+            ]
+        # The converge ladder: one batch per size, each with its own seed key.
+        batches = [(n, (5, i), 30, ()) for i, n in enumerate((200, 2000))]
+        monkeypatch.setattr(harness, "_replicate", lambda task: task[2])
+        got = list(harness._replications(MAXWELL, None, batches, 1))
+        assert [(i, len(run)) for i, run, _ in got] == [(0, 21), (0, 9)] + [(1, 3)] * 10
+        assert [seed for _, _, seeds in got for seed in seeds] == [
+            derived_seed(5, i, rep) for i in range(2) for rep in range(30)
+        ]
 
     def test_run_size_does_not_change_results(self, monkeypatch):
         # Runs of one replication, the grouping before batching existed,
@@ -298,10 +329,10 @@ class TestRuns:
                 moment_check_dict(asymptotic_moment_check(moments)),
             )
 
-        assert len(harness._runs(4, 60, 1)) == 1
+        assert [len(run) for _, run, _ in replications(4, 60, 1)] == [4]
         batched = studies()
         monkeypatch.setattr(harness, "_RUN_ENTRIES", 1)
-        assert len(harness._runs(4, 60, 1)) == 4
+        assert [len(run) for _, run, _ in replications(4, 60, 1)] == [1] * 4
         assert studies() == batched
 
 
