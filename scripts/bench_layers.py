@@ -10,10 +10,11 @@ studies reduce, called once on the samples a study task holds
 (ceil(4096 / n) replications, as the harness groups them). Sizes n = 200,
 500, 2000 and 8000 use the default 400-point grid at the plug-in
 bandwidth; then the moments_pool workload's n (1e5), points and bandwidth.
-Each round also times a reference kernel, np.exp in place over 2^14
-doubles (128 KiB, cache-resident), in ns per element, and each core row
-records its ns per pair over that round's reference as well: a host's
-speed and its slow phases move both, so the ratio compares across files.
+Right before each core case, each round also times a reference kernel,
+np.exp in place over 2^14 doubles (128 KiB, cache-resident), in ns per
+element, and each core row records its ns per pair over that timing as
+well: a host's speed and its slow phases move both, so the ratio compares
+across files.
 
 Each study is one fresh interpreter that imports gammakde.cli, writes the
 configs of the benchmark's workloads (``bench/workloads.py``, full size),
@@ -191,11 +192,11 @@ def main(argv=None) -> int:
     studies = [(command, jobs) for command in ops for jobs in JOBS]
 
     ns = [[] for _ in cores]
-    exp_ns = []
+    exp_ns = [[] for _ in cores]
     got = {case: [] for case in studies}
     for _ in range(args.rounds):
-        exp_ns.append(_exp_ns_per_element())
-        for times, (call, loops, pairs, _) in zip(ns, cores):
+        for times, refs, (call, loops, pairs, _) in zip(ns, exp_ns, cores):
+            refs.append(_exp_ns_per_element())
             start = time.perf_counter()
             for _ in range(loops):
                 call()
@@ -211,8 +212,8 @@ def main(argv=None) -> int:
 
     rows = [
         {**fields, **_stat("ns_per_pair", times),
-         **_stat("ns_per_pair_over_exp", [t / e for t, e in zip(times, exp_ns)])}
-        for times, (*_, fields) in zip(ns, cores)
+         **_stat("ns_per_pair_over_exp", [t / e for t, e in zip(times, refs)])}
+        for times, refs, (*_, fields) in zip(ns, exp_ns, cores)
     ]
     results = []
     for command, jobs in studies:
@@ -225,8 +226,9 @@ def main(argv=None) -> int:
     split = {key: [r["split_s"][key] for r in got["reproduce", 1]] for key in (*SPLIT, "rest")}
     record = {
         "what": ("estimator core ns per (observation, grid point) pair, in the measuring "
-                 "process, also over the reference kernel's ns per element; study time, minor page faults and system CPU of the CLI "
-                 "subcommands on the benchmark configs, a fresh process each"),
+                 "process, also over the reference kernel's ns per element; study time, "
+                 "minor page faults and system CPU of the CLI subcommands on the "
+                 "benchmark configs, a fresh process each"),
         "commit": _commit(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
@@ -234,8 +236,9 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "rounds": args.rounds,
         "reference_kernel": {
-            "what": f"np.exp in place over {EXP_ELEMENTS} float64, ns per element",
-            **_stat("ns_per_element", exp_ns),
+            "what": (f"np.exp in place over {EXP_ELEMENTS} float64, ns per element, "
+                     "timed before each core case of each round"),
+            **_stat("ns_per_element", [e for refs in exp_ns for e in refs]),
         },
         "estimator": rows,
         "studies": results,

@@ -250,11 +250,11 @@ class RecordingPool:
         return map(fn, tasks)
 
 
-def replications(count, n, jobs, key=(5,)):
-    """(batch index, run, seeds) per run of one batch, drawing no sample."""
+def replications(count, n, jobs):
+    """(batch index, run, seeds) per run of one batch with seed key (5,), drawing no sample."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_replicate", lambda task: task[2])
-        return list(harness._replications(MAXWELL, None, [(n, key, count, ())], jobs))
+        return list(harness._replications(MAXWELL, None, [(n, (5,), count, ())], jobs))
 
 
 class TestWorkerPool:
@@ -267,17 +267,17 @@ class TestWorkerPool:
         # At n = _RUN_ENTRIES every run, and so every task, is one replication.
         n = harness._RUN_ENTRIES
 
-        def seeds(count, jobs):
+        def task_seeds(count, jobs):
             return [seeds for _, _, seeds in replications(count, n, jobs)]
 
-        assert seeds(40, 10_000) == [[derived_seed(5, r)] for r in range(40)]
+        assert task_seeds(40, 10_000) == [[derived_seed(5, r)] for r in range(40)]
         assert seen == [4, 40 // (4 * 4)]
         seen.clear()
-        assert seeds(3, 10_000) == [[derived_seed(5, r)] for r in range(3)]
+        assert task_seeds(3, 10_000) == [[derived_seed(5, r)] for r in range(3)]
         assert seen == [3, 1]
         seen.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert seeds(2, 8) == [[derived_seed(5, r)] for r in range(2)]
+        assert task_seeds(2, 8) == [[derived_seed(5, r)] for r in range(2)]
         assert seen == []  # no CPU count: one worker, so no pool
 
 
