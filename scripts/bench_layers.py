@@ -35,8 +35,9 @@ it writes anything.
 
 Each value is the median over --rounds rounds, and every round runs every
 core case and every study once, so slow phases of the host spread over
-all of them. The file also records the commit, the CPU count and the
-Python and numpy versions. One round takes about 8 seconds on two cores.
+all of them. The file also records the commit, the line count of
+src/gammakde/*.py (as wc -l counts it), the CPU count and the Python and
+numpy versions. One round takes about 8 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def main(argv=None) -> int:
                  "minor page faults and system CPU of the CLI subcommands on the "
                  "benchmark configs, a fresh process each"),
         "commit": _commit(),
+        "src_lines": sum(p.read_bytes().count(b"\n")
+                         for p in (HERE.parent / "src" / "gammakde").glob("*.py")),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -248,6 +251,7 @@ def main(argv=None) -> int:
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"src/gammakde {record['src_lines']} lines")
     print(f"reference kernel {record['reference_kernel']['ns_per_element']:.3f} ns/element")
     for row in rows:
         print(f"n={row['n']:<7} {row['path']:<17} samples={row['samples']:<3} "

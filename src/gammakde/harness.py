@@ -228,14 +228,23 @@ def _distribution_to_dict(dist) -> dict:
     return {"name": "chi_square", "m": dist.m}
 
 
-def _modes(obj) -> tuple:
-    """Each {"fixed": b} becomes FixedBandwidth(b); ExperimentConfig checks all."""
-    return tuple(
-        FixedBandwidth(value=_number(m["fixed"]))
-        if isinstance(m, dict) and set(m) == {"fixed"}
-        else m
-        for m in obj
-    )
+def _array(item=lambda value: value):
+    """A parser of a JSON array into a tuple, turning each entry with `item`.
+
+    A tuple passes too, as to_dict writes one for Python callers.
+    """
+    def parse(obj) -> tuple:
+        if not isinstance(obj, (list, tuple)):
+            raise TypeError(f"expected a JSON array, got {obj!r}")
+        return tuple(item(value) for value in obj)
+    return parse
+
+
+def _mode(obj):
+    """{"fixed": b} becomes FixedBandwidth(b); ExperimentConfig checks every mode."""
+    if isinstance(obj, dict) and set(obj) == {"fixed"}:
+        return FixedBandwidth(value=_number(obj["fixed"]))
+    return obj
 
 
 def _mode_label(mode: str | FixedBandwidth) -> str:
@@ -272,7 +281,7 @@ class ExperimentConfig(_JsonConfig):
     _parsers = {
         "distribution": _distribution,
         "grid": _grid,
-        "bandwidth_modes": _modes,
+        "bandwidth_modes": _array(_mode),
         "output_dir": _directory,
     }
 
@@ -571,7 +580,7 @@ class ConvergenceConfig(_JsonConfig):
     _parsers = {
         "distribution": _distribution,
         "grid": _grid,
-        "n_list": tuple,
+        "n_list": _array(),
         "output_dir": _directory,
     }
 
@@ -664,7 +673,7 @@ class MomentCheckConfig(_JsonConfig):
 
     _parsers = {
         "distribution": _distribution,
-        "x_list": lambda xs: tuple(_number(x) for x in xs),
+        "x_list": _array(_number),
         "b": _number,
     }
 
@@ -717,11 +726,11 @@ def asymptotic_moment_check(
     ref = reference_for(cfg.distribution)
     xs = np.asarray(cfg.x_list, dtype=float)
     try:
-        predicted = [
+        bias, var_pred = np.array([
             (asymptotics.bias_interior(ref, x, cfg.b),
              asymptotics.variance_leading(ref, x, cfg.b, cfg.n))
             for x in cfg.x_list
-        ]
+        ]).T
     except ValueError as exc:
         raise ConfigError(f"no leading terms for this x_list and b: {exc}") from exc
     truth = _true_derivative(ref, xs)
@@ -732,44 +741,25 @@ def asymptotic_moment_check(
     mc_mean = estimates.mean(axis=0)
     if cfg.replications > 1:
         mc_var = estimates.var(axis=0, ddof=1)
-    else:
+        notes = [
+            f"the predicted variance at x={float(x)!r} is 0, so its "
+            "variance ratio is undefined and reported as null"
+            for x in xs[var_pred == 0.0]
+        ]
+    else:  # numpy warns on the variance of one row; NaN carries to every statistic
         mc_var = np.full(xs.shape, np.nan)
-
-    rows = []
-    notes = []
-    for j, (x, (bias, var_pred)) in enumerate(zip(xs, predicted)):
-        if cfg.replications > 1:
-            se = math.sqrt(mc_var[j] / cfg.replications)
-            bias_z = (mc_mean[j] - truth[j] - bias) / se if se > 0.0 else float("nan")
-            if var_pred != 0.0:
-                variance_ratio = mc_var[j] / var_pred
-            else:
-                variance_ratio = float("nan")
-                notes.append(
-                    f"the predicted variance at x={float(x)!r} is 0, so its "
-                    "variance ratio is undefined and reported as null"
-                )
-        else:
-            bias_z = float("nan")
-            variance_ratio = float("nan")
-        rows.append(
-            MomentCheckRow(
-                x=float(x),
-                mc_mean=float(mc_mean[j]),
-                mc_variance=float(mc_var[j]),
-                true_derivative=float(truth[j]),
-                predicted_bias=bias,
-                predicted_variance=var_pred,
-                bias_z=float(bias_z),
-                variance_ratio=float(variance_ratio),
-            )
-        )
-    if cfg.replications < 2:
-        notes.append(
+        notes = [
             "single replication: Monte Carlo variances (and the statistics "
             "built on them) are undefined and reported as null"
-        )
-    return MomentCheckReport(config=cfg, rows=tuple(rows), notes=tuple(notes))
+        ]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the masked entries
+        se = np.sqrt(mc_var / cfg.replications)
+        bias_z = np.where(se > 0.0, (mc_mean - truth - bias) / se, np.nan)
+        variance_ratio = np.where(var_pred != 0.0, mc_var / var_pred, np.nan)
+    # One row per point, its columns in MomentCheckRow's field order.
+    columns = (xs, mc_mean, mc_var, truth, bias, var_pred, bias_z, variance_ratio)
+    rows = tuple(MomentCheckRow(*map(float, values)) for values in zip(*columns))
+    return MomentCheckReport(config=cfg, rows=rows, notes=tuple(notes))
 
 
 def moment_check_dict(report: MomentCheckReport) -> dict:

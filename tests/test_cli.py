@@ -82,6 +82,13 @@ class TestConfigErrors:
         path.write_text("[1, 2]")
         assert main(["reproduce", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_list_key_must_be_an_array(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**MAXWELL_EXPERIMENT, "bandwidth_modes": "plugin"})
+        assert main(["reproduce", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: bad config: expected a JSON array, got 'plugin'\n"
+        )
+
     def test_bad_jobs(self, capsys):
         assert main(["bandwidths", "--jobs", "0"]) == EXIT_CONFIG
         assert "--jobs" in capsys.readouterr().err

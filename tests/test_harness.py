@@ -1,13 +1,15 @@
 """Experiment harness: configs, reports, determinism, failure paths."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gammakde import harness
+from gammakde import asymptotics, harness
 from gammakde.asymptotics import SELECTORS
+from gammakde.estimator import evaluate_batch
 from gammakde.harness import (
     BandwidthsConfig,
     ConfigError,
@@ -194,6 +196,34 @@ class TestConfigs:
         for bad in ("gaussian", {"fixed": -1.0}, {"fixed": 0.1, "extra": 1}, 7):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict({**d, "bandwidth_modes": [bad]})
+
+    @pytest.mark.parametrize(
+        "cls, key, value",
+        [
+            (ExperimentConfig, "bandwidth_modes", {"plugin": 0, "chen": None}),
+            (ExperimentConfig, "bandwidth_modes", "plugin"),
+            (ConvergenceConfig, "n_list", {"500": 1, "1000": 2, "2000": 3, "4000": 4}),
+            (ConvergenceConfig, "n_list", "5000"),
+            (MomentCheckConfig, "x_list", {"0.5": 1.0}),
+            (MomentCheckConfig, "x_list", "0.5"),
+        ],
+    )
+    def test_list_keys_must_be_arrays(self, cls, key, value):
+        good = {
+            ExperimentConfig: small_config().to_dict(),
+            ConvergenceConfig: ConvergenceConfig(
+                distribution=MAXWELL, n_list=(100, 200, 400, 800), seed=9,
+                replications=3,
+            ).to_dict(),
+            MomentCheckConfig: MomentCheckConfig(
+                distribution=MAXWELL, x_list=(0.5,), b=0.05, n=500, seed=3,
+                replications=10,
+            ).to_dict(),
+        }[cls]
+        # to_dict writes tuples, and from_dict takes them as it takes lists.
+        assert cls.from_dict({**good, key: list(good[key])}) == cls.from_dict(good)
+        with pytest.raises(ConfigError, match=f"expected a JSON array, got {value!r}"):
+            cls.from_dict({**good, key: value})
 
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ConfigError):
@@ -617,6 +647,55 @@ class TestMomentCheck:
         r1 = asymptotic_moment_check(cfg, jobs=1)
         r2 = asymptotic_moment_check(cfg, jobs=2)
         assert moment_check_dict(r1) == moment_check_dict(r2)
+
+    @staticmethod
+    def per_point_rows(cfg: MomentCheckConfig) -> list:
+        """Each row's statistics, point by point, from the replications' own estimates."""
+        ref = reference_for(cfg.distribution)
+        xs = np.asarray(cfg.x_list)
+        samples = [
+            sample(cfg.distribution, cfg.n, derived_seed(cfg.seed, r))
+            for r in range(cfg.replications)
+        ]
+        _, _, estimates = evaluate_batch(samples, cfg.b, xs)
+        with np.errstate(all="ignore"):
+            truth = np.asarray(ref.d1(xs), dtype=float)
+        rows = []
+        for j, x in enumerate(cfg.x_list):
+            column = estimates[:, j]
+            bias = asymptotics.bias_interior(ref, x, cfg.b)
+            var_pred = asymptotics.variance_leading(ref, x, cfg.b, cfg.n)
+            mean = column.mean()
+            if cfg.replications > 1:
+                var = column.var(ddof=1)
+                se = math.sqrt(var / cfg.replications)
+                bias_z = (mean - truth[j] - bias) / se if se > 0.0 else math.nan
+                ratio = var / var_pred if var_pred != 0.0 else math.nan
+            else:
+                var = bias_z = ratio = math.nan
+            rows.append((x, mean, var, truth[j], bias, var_pred, bias_z, ratio))
+        return [[float(v).hex() for v in row] for row in rows]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "replications, x_list",
+        [
+            (1, (0.3, 1.0, 2.5)),
+            (2, (0.3, 1.0, 2.5)),
+            (7, (0.3, 1.0, 2.5)),
+            (3, (1.0, 1e300)),  # the predicted variance at 1e300 is 0
+            (1, (1.0, 1e300)),
+        ],
+    )
+    def test_rows_match_the_per_point_statistics_bit_for_bit(self, replications, x_list):
+        # The golden file keeps 12 digits; this compares every bit of every field.
+        cfg = MomentCheckConfig(
+            distribution=MAXWELL, x_list=x_list, b=0.1, n=50, seed=5,
+            replications=replications,
+        )
+        rows = asymptotic_moment_check(cfg).rows
+        got = [[float(v).hex() for v in dataclasses.astuple(row)] for row in rows]
+        assert got == self.per_point_rows(cfg)
 
 
 class TestSerialization:
