@@ -118,13 +118,13 @@ def _directory(value) -> str | None:
     return value
 
 
-def _from_dict(cls, obj, what: str, **parsers):
+def _from_dict(cls, obj, what: str):
     """Build the dataclass `cls` from a JSON object keyed by its field names.
 
     Unknown keys are rejected and absent ones take the field default.
-    parsers[key] turns the JSON value of `key` into the field value or
-    raises TypeError; the class's own checks run next. Any malformed value
-    ends as a ConfigError that names `what`.
+    _READ[key] turns the JSON value of `key` into the field value or raises
+    TypeError; the class's own checks run next. Any malformed value ends as
+    a ConfigError that names `what`.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
@@ -139,7 +139,7 @@ def _from_dict(cls, obj, what: str, **parsers):
         if f.name not in obj and not has_default:
             raise ConfigError(f"missing {what} key: {f.name!r}")
     try:
-        return cls(**{k: parsers[k](v) if k in parsers else v for k, v in obj.items()})
+        return cls(**{k: _READ[k](v) if k in _READ else v for k, v in obj.items()})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -150,19 +150,16 @@ class _JsonConfig:
     """The JSON grammar the config dataclasses share.
 
     from_dict reads an object keyed by the field names, turning values with
-    the class's _parsers; to_dict writes the object from_dict reads back.
+    _READ; to_dict writes, with _WRITE, the object from_dict reads back.
     """
-
-    _parsers = {}
 
     @classmethod
     def from_dict(cls, obj: dict):
-        return _from_dict(cls, obj, "config", **cls._parsers)
+        return _from_dict(cls, obj, "config")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["distribution"] = _distribution_to_dict(self.distribution)
-        return out
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: _WRITE[k](v) if k in _WRITE else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -205,10 +202,6 @@ class GridSpec:
         return self.min + step * np.arange(1, self.points + 1)
 
 
-def _grid(obj) -> GridSpec:
-    return _from_dict(GridSpec, obj, "grid", min=_number, max=_number)
-
-
 _DISTRIBUTIONS = {"maxwell": MaxwellParams, "chi_square": ChiSquareParams}
 
 
@@ -219,13 +212,7 @@ def _distribution(obj) -> MaxwellParams | ChiSquareParams:
             f"{sorted(_DISTRIBUTIONS)}, got {obj!r}"
         )
     params = {k: v for k, v in obj.items() if k != "name"}
-    return _from_dict(_DISTRIBUTIONS[obj["name"]], params, "distribution", sigma=_number)
-
-
-def _distribution_to_dict(dist) -> dict:
-    if isinstance(dist, MaxwellParams):
-        return {"name": "maxwell", "sigma": dist.sigma}
-    return {"name": "chi_square", "m": dist.m}
+    return _from_dict(_DISTRIBUTIONS[obj["name"]], params, "distribution")
 
 
 def _array(item=lambda value: value):
@@ -247,6 +234,34 @@ def _mode(obj):
     return obj
 
 
+# The grammar of every key of the configs and of their nested objects. _READ
+# turns a key's JSON value into its field value; a key not listed is taken
+# as it is. _WRITE turns a field value that is not plain JSON back into the
+# JSON value that _READ reads.
+_READ = {
+    "distribution": _distribution,
+    "sigma": _number,
+    "grid": lambda obj: _from_dict(GridSpec, obj, "grid"),
+    "min": _number,
+    "max": _number,
+    "bandwidth_modes": _array(_mode),
+    "n_list": _array(),
+    "x_list": _array(_number),
+    "b": _number,
+    "output_dir": _directory,
+}
+_WRITE = {
+    "distribution": lambda dist: {
+        "name": next(name for name, kind in _DISTRIBUTIONS.items() if isinstance(dist, kind)),
+        **dataclasses.asdict(dist),
+    },
+    "grid": dataclasses.asdict,
+    "bandwidth_modes": lambda modes: [
+        m if isinstance(m, str) else {"fixed": m.value} for m in modes
+    ],
+}
+
+
 def _mode_label(mode: str | FixedBandwidth) -> str:
     return mode if isinstance(mode, str) else mode.label
 
@@ -258,8 +273,6 @@ class BandwidthsConfig(_JsonConfig):
     distribution: MaxwellParams | ChiSquareParams
     n: int
     output_dir: str | None = None
-
-    _parsers = {"distribution": _distribution, "output_dir": _directory}
 
     def __post_init__(self):
         # A larger n cannot be a float, and the selectors compute in floats.
@@ -278,13 +291,6 @@ class ExperimentConfig(_JsonConfig):
     bandwidth_modes: tuple = tuple(asymptotics.SELECTORS)
     output_dir: str | None = None
 
-    _parsers = {
-        "distribution": _distribution,
-        "grid": _grid,
-        "bandwidth_modes": _array(_mode),
-        "output_dir": _directory,
-    }
-
     def __post_init__(self):
         _check_integer("n", self.n, 1, 100_000)
         _check_integer("seed", self.seed, 0)
@@ -301,14 +307,8 @@ class ExperimentConfig(_JsonConfig):
                 )
         labels = [_mode_label(m) for m in self.bandwidth_modes]
         if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate bandwidth modes: {labels}")
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out["bandwidth_modes"] = [
-            m if isinstance(m, str) else {"fixed": m.value} for m in self.bandwidth_modes
-        ]
-        return out
+            raise ConfigError(f"bandwidth mode labels must be distinct, as each names a curve "
+                              f"file and a fixed label keeps 6 significant digits: got {labels}")
 
 
 @dataclass
@@ -577,13 +577,6 @@ class ConvergenceConfig(_JsonConfig):
     grid: GridSpec = field(default_factory=GridSpec)
     output_dir: str | None = None
 
-    _parsers = {
-        "distribution": _distribution,
-        "grid": _grid,
-        "n_list": _array(),
-        "output_dir": _directory,
-    }
-
     def __post_init__(self):
         if len(self.n_list) < 4:
             raise ConfigError(
@@ -670,12 +663,6 @@ class MomentCheckConfig(_JsonConfig):
     n: int
     seed: int
     replications: int
-
-    _parsers = {
-        "distribution": _distribution,
-        "x_list": _array(_number),
-        "b": _number,
-    }
 
     def __post_init__(self):
         if not self.x_list:

@@ -1,20 +1,33 @@
 """CLI surface: config loading, output resolution, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gammakde
 from gammakde.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_PARTIAL, main
+from gammakde.harness import (
+    BandwidthsConfig,
+    ConfigError,
+    ConvergenceConfig,
+    ExperimentConfig,
+    MomentCheckConfig,
+)
 
 MAXWELL_EXPERIMENT = {
     "distribution": {"name": "maxwell", "sigma": 1.0},
@@ -89,8 +102,15 @@ class TestConfigErrors:
             "configuration error: bad config: expected a JSON array, got 'plugin'\n"
         )
 
-    def test_bad_jobs(self, capsys):
+    def test_bad_jobs(self, capsys, monkeypatch):
         assert main(["bandwidths", "--jobs", "0"]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        # The same through `python -m gammakde.cli`, whose exit status is main's.
+        monkeypatch.setattr(sys, "argv", ["gammakde", "bandwidths", "--jobs", "0"])
+        monkeypatch.delitem(sys.modules, "gammakde.cli")  # else runpy warns it is imported
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_module("gammakde.cli", run_name="__main__")
+        assert exc_info.value.code == EXIT_CONFIG
         assert "--jobs" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
@@ -300,13 +320,18 @@ class TestOutputResolution:
         assert (env_out / "report.json").exists()
         assert not (tmp_path / "from_cfg").exists()
 
-    def test_config_output_dir_used(self, tmp_path):
+    def test_config_output_dir_used(self, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path,
             {**MAXWELL_EXPERIMENT, "output_dir": str(tmp_path / "from_cfg")},
         )
         assert main(["reproduce", "--config", cfg]) == EXIT_OK
         assert (tmp_path / "from_cfg" / "report.json").exists()
+        # With no flag, variable or output_dir, the default directory in the cwd.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, MAXWELL_EXPERIMENT, "no_output_dir.json")
+        assert main(["reproduce", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "gammakde_out" / "report.json").exists()
 
 
 class TestBandwidths:
@@ -659,6 +684,87 @@ class TestEdgeInputs:
             assert err == ""
         else:
             assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# Positive floats from 1e-300 to 1e300, spread evenly over the exponents.
+EXTREME = st.builds(
+    lambda mantissa, exponent: min(mantissa * 10.0**exponent, 1e300),
+    st.floats(1.0, 10.0), st.integers(-300, 299),
+) | st.sampled_from([1e-300, 1e300])
+DISTRIBUTION = st.builds(lambda sigma: {"name": "maxwell", "sigma": sigma}, EXTREME) | st.builds(
+    lambda m: {"name": "chi_square", "m": m}, st.integers(3, 200))
+GRID = st.builds(
+    lambda bounds, points: {"min": bounds[0], "max": bounds[1], "points": points},
+    st.lists(EXTREME | st.just(0.0), min_size=2, max_size=2, unique=True).map(sorted),
+    st.integers(2, 4),
+)
+MODE = st.sampled_from(["plugin", "refined", "chen"]) | st.builds(lambda b: {"fixed": b}, EXTREME)
+SMALL = {"seed": st.integers(0, 3), "replications": st.integers(1, 3)}
+
+# (subcommand, config class, config): valid configs of every subcommand, at
+# tiny sizes and with every real number drawn from the whole float range.
+GRAMMAR_CASES = st.one_of(
+    st.tuples(st.just("reproduce"), st.just(ExperimentConfig), st.fixed_dictionaries({
+        "distribution": DISTRIBUTION, "n": st.integers(1, 5), "grid": GRID,
+        "bandwidth_modes": st.lists(MODE, min_size=1, max_size=3, unique_by=json.dumps),
+        **SMALL,
+    })),
+    st.tuples(st.just("bandwidths"), st.just(BandwidthsConfig), st.fixed_dictionaries({
+        "distribution": DISTRIBUTION, "n": st.integers(1, 10**6),
+    })),
+    st.tuples(st.just("converge"), st.just(ConvergenceConfig), st.fixed_dictionaries({
+        "distribution": DISTRIBUTION, "grid": GRID,
+        "n_list": st.lists(st.integers(1, 8), min_size=4, max_size=4, unique=True),
+        **SMALL,
+    })),
+    st.tuples(st.just("verify-lemmas"), st.just(MomentCheckConfig), st.builds(
+        # b is a share of the first point, so that most draws keep x >= 2 b.
+        lambda x_list, share, rest: {"x_list": x_list, "b": x_list[0] * share, **rest},
+        st.lists(EXTREME, min_size=1, max_size=3, unique=True).map(sorted),
+        st.floats(1e-300, 0.5),
+        st.fixed_dictionaries({"distribution": DISTRIBUTION, "n": st.integers(1, 5), **SMALL}),
+    )),
+)
+
+
+def check_works_or_fails_in_one_line(command, cls, config) -> None:
+    """A config either parses to a config that round-trips, or is rejected.
+
+    Run through main, it exits 0 with every written number finite or null,
+    or it exits 2, 3 or 4 with one line on stderr; never with a traceback or
+    a RuntimeWarning.
+    """
+    try:
+        cfg = cls.from_dict(config)
+    except ConfigError:
+        pass
+    else:
+        assert cls.from_dict(cfg.to_dict()) == cfg
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = write_config(Path(tmp), config), Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path, "--out", str(out)])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PARTIAL)
+        err = err.getvalue()
+        assert err == "" if code == EXIT_OK else (err.count("\n") == 1 and err.endswith("\n"))
+        for file in out.rglob("*") if code in (EXIT_OK, EXIT_PARTIAL) else ():
+            if file.suffix == ".json":
+                numbers = list(_json_numbers(json.loads(file.read_text())))
+            else:
+                rows = list(csv.reader(file.read_text().splitlines()))[1:]
+                numbers = [float(value) for row in rows for value in row]
+            assert all(math.isfinite(v) for v in numbers), file.name
+
+
+class TestGrammar:
+    @settings(max_examples=200, deadline=None)
+    @given(GRAMMAR_CASES)
+    def test_every_valid_config_works_or_fails_in_one_line(self, case):
+        check_works_or_fails_in_one_line(*case)
 
 
 # One small run of each subcommand; each writes into its own --out directory.

@@ -228,6 +228,11 @@ class TestConfigs:
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ConfigError):
             small_config(bandwidth_modes=("plugin", "plugin"))
+        # Two different fixed bandwidths whose labels, and so curve files, collide.
+        d = {**small_config().to_dict(), "bandwidth_modes": [{"fixed": 0.1}, {"fixed": 0.1000001}]}
+        with pytest.raises(ConfigError, match=r"labels must be distinct, as each names a curve "
+                           r"file .*\['fixed_0.1', 'fixed_0.1'\]"):
+            ExperimentConfig.from_dict(d)
 
     def test_unknown_mode_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="gaussian"):
@@ -240,6 +245,8 @@ class TestConfigs:
             small_config(replications=501)
         with pytest.raises(ConfigError):
             small_config(seed=-1)
+        with pytest.raises(ConfigError, match="at least one bandwidth mode"):
+            small_config(bandwidth_modes=())
 
     def test_convergence_needs_distinct_sizes(self):
         with pytest.raises(ConfigError, match="degenerate"):
@@ -254,11 +261,17 @@ class TestConfigs:
             )
 
     def test_moment_check_rejects_boundary_points(self):
-        with pytest.raises(ConfigError, match="x >= 2 b"):
-            MomentCheckConfig(
-                distribution=MAXWELL, x_list=(0.05, 1.0), b=0.05, n=100, seed=1,
-                replications=5,
-            )
+        for x_list, b, message in (
+            ((0.05, 1.0), 0.05, "x >= 2 b"),
+            ((), 0.05, "x_list must not be empty"),
+            ((0.5, 1.0), 0.0, "bandwidth must be > 0"),
+            ((1.0, 0.5), 0.05, "x_list must be strictly increasing"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                MomentCheckConfig(
+                    distribution=MAXWELL, x_list=x_list, b=b, n=100, seed=1,
+                    replications=5,
+                )
 
 
 class RecordingPool:

@@ -261,6 +261,15 @@ def test_find_root_endpoint_zero():
 def test_find_root_no_sign_change():
     with pytest.raises(NoRootError):
         find_root(lambda b: b * b + 1.0, -1.0, 1.0, 1e-12)
+    # The argument checks come before any sign test.
+    for lo, hi, tol, g in (
+        (1.0, 1.0, 1e-12, lambda b: b),
+        (0.0, math.inf, 1e-12, lambda b: b),
+        (-1.0, 1.0, 0.0, lambda b: b),
+        (-1.0, 1.0, 1e-12, lambda b: math.inf),
+    ):
+        with pytest.raises(ValueError, match="bracket|tol|not finite"):
+            find_root(g, lo, hi, tol)
 
 
 def test_find_root_bracket_contract():
@@ -270,6 +279,11 @@ def test_find_root_bracket_contract():
     r = find_root(g, 1.0, 2.0, tol)
     assert abs(r - math.pi / 2.0) < tol
     assert g(r - tol) * g(r + tol) < 0.0
+    # Near 1e6 the float spacing (1.2e-10) exceeds tol: bisection stops at
+    # two adjacent floats around a step that g never makes exactly 0.
+    step = 1e6 + 0.3
+    r = find_root(lambda x: -1.0 if x <= step else 1.0, 1e6, 1e6 + 1.0, 1e-13)
+    assert r in (step, math.nextafter(step, math.inf))
 
 
 def test_minimize_quadratic():

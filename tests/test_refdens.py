@@ -321,6 +321,8 @@ def test_maxwell_ks_distance():
 def test_sample_errors():
     with pytest.raises(ValueError):
         sample(MaxwellParams(), 0, 1)
+    with pytest.raises(TypeError, match="unsupported distribution parameters"):
+        sample(object(), 5, 1)
 
 
 def test_params_validation():
@@ -335,6 +337,8 @@ def test_params_validation():
 def test_reference_for_labels():
     assert reference_for(MaxwellParams()).label == "maxwell(sigma=1)"
     assert reference_for(ChiSquareParams(m=5)).label == "chi_square(m=5)"
+    with pytest.raises(TypeError, match="unsupported distribution parameters"):
+        reference_for(object())
 
 
 def test_derived_seed_coordinates():
