@@ -727,44 +727,38 @@ GRAMMAR_CASES = st.one_of(
 )
 
 
-def check_works_or_fails_in_one_line(command, cls, config) -> None:
-    """A config either parses to a config that round-trips, or is rejected.
-
-    Run through main, it exits 0 with every written number finite or null,
-    or it exits 2, 3 or 4 with one line on stderr; never with a traceback or
-    a RuntimeWarning.
-    """
-    try:
-        cfg = cls.from_dict(config)
-    except ConfigError:
-        pass
-    else:
-        assert cls.from_dict(cfg.to_dict()) == cfg
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = write_config(Path(tmp), config), Path(tmp) / "out"
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main([command, "--config", path, "--out", str(out)])
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PARTIAL)
-        err = err.getvalue()
-        assert err == "" if code == EXIT_OK else (err.count("\n") == 1 and err.endswith("\n"))
-        for file in out.rglob("*") if code in (EXIT_OK, EXIT_PARTIAL) else ():
-            if file.suffix == ".json":
-                numbers = list(_json_numbers(json.loads(file.read_text())))
-            else:
-                rows = list(csv.reader(file.read_text().splitlines()))[1:]
-                numbers = [float(value) for row in rows for value in row]
-            assert all(math.isfinite(v) for v in numbers), file.name
-
-
 class TestGrammar:
     @settings(max_examples=200, deadline=None)
     @given(GRAMMAR_CASES)
     def test_every_valid_config_works_or_fails_in_one_line(self, case):
-        check_works_or_fails_in_one_line(*case)
+        """A config that parses round-trips through to_dict. Run through main,
+        every config exits 0 with every written number finite or null, or
+        exits 2, 3 or 4 with one line on stderr; it never raises or warns."""
+        command, cls, config = case
+        try:
+            cfg = cls.from_dict(config)
+        except ConfigError:
+            pass
+        else:
+            assert cls.from_dict(cfg.to_dict()) == cfg
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = write_config(Path(tmp), config), Path(tmp) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([command, "--config", path, "--out", str(out)])
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_PARTIAL)
+            err = err.getvalue()
+            assert err == "" if code == EXIT_OK else (err.count("\n") == 1 and err.endswith("\n"))
+            for file in out.rglob("*") if code in (EXIT_OK, EXIT_PARTIAL) else ():
+                if file.suffix == ".json":
+                    numbers = list(_json_numbers(json.loads(file.read_text())))
+                else:
+                    rows = list(csv.reader(file.read_text().splitlines()))[1:]
+                    numbers = [float(value) for row in rows for value in row]
+                assert all(math.isfinite(v) for v in numbers), file.name
 
 
 # One small run of each subcommand; each writes into its own --out directory.
