@@ -36,7 +36,7 @@ import numpy as np
 
 from . import numerics
 from .refdens import PdfDerivs, ReferenceDensity, _selector_integrals
-from .specfun import log_gamma
+from .specfun import stirling_ratio
 
 __all__ = [
     "curvature_term",
@@ -173,28 +173,31 @@ def variance_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float
 def squared_kernel_constant(x: float, b: float) -> float:
     """Normalization constant B(x, b) of the squared interior kernel.
 
-    Squaring the interior gamma kernel with shape x/b and renormalizing to
-    a gamma density with doubled rate yields
+    Squaring the interior gamma kernel with shape rho = x / b and
+    renormalizing to a gamma density with doubled rate yields
 
-        B(x, b) = b^-5 x^2 Gamma(2 x / b - 1)
-                  / (2^{2 x / b - 2} Gamma(x / b + 1)^2),
+        B(x, b) = b^-5 x^2 Gamma(2 rho - 1) / (2^{2 rho - 2} Gamma(rho + 1)^2)
+                = R(rho)^2 / (sqrt(pi) R(2 rho) b^{5/2} sqrt(x) (1 - b / (2 x))),
 
-    equivalently (2 / b^2) * integral of the squared kernel. Evaluated in
-    log space; requires x > b / 2 so the gamma arguments stay positive.
+    equivalently (2 / b^2) * integral of the squared kernel, with R the
+    stirling_ratio. The second form is evaluated: its factors stay near 1
+    where the log-gamma terms of the first, each of order rho ln rho,
+    cancel. Requires x > b / 2 so the gamma arguments stay positive.
     """
     b = _check_bandwidth(b)
     x = float(x)
     if not (math.isfinite(x) and x > b / 2.0):
         raise ValueError(f"squared kernel constant requires x > b / 2, got {x!r}")
-    rho = x / b
-    log_value = (
-        -5.0 * math.log(b)
-        + 2.0 * math.log(x)
-        + log_gamma(2.0 * rho - 1.0)
-        - (2.0 * rho - 2.0) * math.log(2.0)
-        - 2.0 * log_gamma(rho + 1.0)
-    )
-    return math.exp(log_value)
+    # Past rho = 1e300 each ratio is 1.0 in floating point, and 2 rho may overflow.
+    rho = min(x / b, 1e300)
+    ratio = stirling_ratio(rho) ** 2 / (stirling_ratio(2.0 * rho) * (1.0 - 0.5 / rho))
+    try:
+        value = ratio * math.exp(-2.5 * math.log(b) - 0.5 * math.log(x)) / _SQRT_PI
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"squared kernel constant at x={x!r}, b={b!r} leaves the float range")
+    return value
 
 
 def mse_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float:

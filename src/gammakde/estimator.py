@@ -36,7 +36,6 @@ have from evaluate_on_grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,42 +87,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class GridEvaluation:
-    """Density and derivative estimates tabulated on a grid."""
+    """Density and derivative estimates tabulated on a grid.
+
+    A plain record: evaluate_batch has checked the arrays, and the
+    constructor checks nothing again.
+    """
 
     grid: np.ndarray
     density: np.ndarray
     derivative: np.ndarray
     bandwidth: float
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        derivative = np.asarray(self.derivative, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("grid must be a non-empty 1-D array")
-        if density.shape != grid.shape or derivative.shape != grid.shape:
-            raise ValueError("density/derivative must match the grid length")
-        if not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
-            raise ValueError("grid points must be finite and >= 0")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(density)) or np.any(density < 0.0):
-            raise ValueError("density values must be finite and >= 0")
-        if not np.all(np.isfinite(derivative)):
-            raise ValueError("derivative values must be finite")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "derivative", derivative)
-
-    @classmethod
-    def _from_checked(cls, grid, density, derivative, bandwidth: float) -> GridEvaluation:
-        """An evaluation of float arrays that have passed these checks, not checked again."""
-        self = object.__new__(cls)
-        self.__dict__.update(grid=grid, density=density, derivative=derivative,
-                             bandwidth=bandwidth)
-        return self
 
 
 @lru_cache(maxsize=_PLAN_MEMO_SIZE)
@@ -200,8 +173,7 @@ def derivative_at(sample: Sample, b: float, x: float) -> float:
 def evaluate_on_grid(sample: Sample, b: float, grid) -> GridEvaluation:
     """Evaluate both estimates on a strictly increasing grid of points."""
     grid, density, derivative = evaluate_batch([sample], b, grid)
-    # evaluate_batch and the kernel plan ran every check of GridEvaluation.
-    return GridEvaluation._from_checked(grid, density[0], derivative[0], float(b))
+    return GridEvaluation(grid, density[0], derivative[0], float(b))
 
 
 def evaluate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,9 +181,10 @@ def evaluate_batch(samples, b: float, grid) -> tuple[np.ndarray, np.ndarray, np.
 
     Row r holds sample r's estimates, with the bits of its own
     evaluate_on_grid: samples that share their size and their count of
-    exact zeros go through the core in one batch, others one by one. The
-    checks of GridEvaluation run once for the batch, with its messages; the
-    kernel plan checks that the points are finite and >= 0, and b.
+    exact zeros go through the core in one batch, others one by one. Every
+    estimate is checked here, once for the batch: the grid, the density
+    values and the derivative values; the kernel plan checks that the
+    points are finite and >= 0, and b.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

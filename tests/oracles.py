@@ -5,8 +5,8 @@ minimizer and central difference that the asymptotic and kernel tests use
 as numeric oracles; the refined selector's former 200-bracket root scan,
 kept to prove that the single-root search returns the same bits; the
 Maxwell distribution function, against which the sampler is tested; and
-the squared-kernel constant through Stirling ratios, a second route to
-asymptotics.squared_kernel_constant.
+the squared-kernel constant through log-gamma terms, a second route to
+asymptotics.squared_kernel_constant at moderate x / b.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from gammakde.asymptotics import MiseIntegrals
 from gammakde.numerics import NoRootError, find_root
 from gammakde.refdens import MaxwellParams
-from gammakde.specfun import stirling_ratio
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _SQRT_PI = math.sqrt(math.pi)
@@ -123,16 +122,15 @@ def maxwell_cdf(params: MaxwellParams, x) -> float | np.ndarray:
     return out
 
 
-def squared_kernel_constant_stirling(x: float, b: float) -> float:
-    """B(x, b) through Stirling ratios; an independent route for checking.
+def squared_kernel_constant_log_gamma(x: float, b: float) -> float:
+    """B(x, b) through log-gamma terms; an independent route for checking.
 
-    B(x, b) = b^{-5/2} x^{-1/2} R(x/b)^2
-              / (sqrt(pi) R(2 x / b) (1 - b / (2 x)))
+    B(x, b) = b^-5 x^2 Gamma(2 x / b - 1) / (2^{2 x / b - 2} Gamma(x / b + 1)^2),
 
-    with R the stirling_ratio. The ratio factors tend to 1 as x/b grows, so
-    B approaches b^{-5/2} x^{-1/2} / sqrt(pi); the variance-facing quantity
-    B / 2 approaches b^{-5/2} x^{-1/2} / (2 sqrt(pi)), the constant seen in
-    variance_leading.
+    evaluated in log space with math.lgamma. Its log-gamma terms are each
+    of order rho ln rho, with rho = x / b, and they cancel, so the route
+    loses about rho ln rho ulps: use it only at moderate rho (the tests
+    stay at rho <= 125).
     """
     b = float(b)
     x = float(x)
@@ -141,5 +139,10 @@ def squared_kernel_constant_stirling(x: float, b: float) -> float:
     if not (math.isfinite(x) and x > b / 2.0):
         raise ValueError(f"squared kernel constant requires x > b / 2, got {x!r}")
     rho = x / b
-    ratio = stirling_ratio(rho) ** 2 / stirling_ratio(2.0 * rho)
-    return ratio / (_SQRT_PI * b ** 2.5 * math.sqrt(x) * (1.0 - b / (2.0 * x)))
+    return math.exp(
+        -5.0 * math.log(b)
+        + 2.0 * math.log(x)
+        + math.lgamma(2.0 * rho - 1.0)
+        - (2.0 * rho - 2.0) * math.log(2.0)
+        - 2.0 * math.lgamma(rho + 1.0)
+    )

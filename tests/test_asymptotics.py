@@ -46,7 +46,7 @@ from gammakde.refdens import (
 )
 
 from conftest import quadrature_only, rel_err
-from oracles import minimize_scalar, refined_scan, squared_kernel_constant_stirling
+from oracles import minimize_scalar, refined_scan, squared_kernel_constant_log_gamma
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -178,20 +178,34 @@ class TestPointwise:
             pointwise_optimal(maxwell, 0.0, 100)
         with pytest.raises(ValueError):
             pointwise_optimal(maxwell, 1.0, -5)
+        # f(100) underflows to 0 for sigma = 1
+        with pytest.raises(ValueError, match="degenerate curvature or density"):
+            pointwise_optimal(maxwell, 100.0, 200)
 
 
 class TestSquaredKernelConstant:
     def test_frozen_value_both_routes(self):
         want = 185.4705810546875
         assert rel_err(squared_kernel_constant(1.0, 0.1), want) < 1e-13
-        assert rel_err(squared_kernel_constant_stirling(1.0, 0.1), want) < 1e-13
+        assert rel_err(squared_kernel_constant_log_gamma(1.0, 0.1), want) < 1e-13
 
     def test_routes_agree_on_grid(self):
+        # x / b <= 125, where the log-gamma route's cancellation stays small
         for x in (0.3, 1.0, 2.5):
             for b in (0.02, 0.1, 0.4):
                 a = squared_kernel_constant(x, b)
-                c = squared_kernel_constant_stirling(x, b)
+                c = squared_kernel_constant_log_gamma(x, b)
                 assert rel_err(a, c) < 1e-12, (x, b)
+
+    def test_large_ratio_and_float_range(self):
+        # B sqrt(pi) b^{5/2} sqrt(x) = 1 + 3 / (8 rho) + O(rho^-2). The
+        # log-gamma form's cancelling terms were already 5e-9 off at 1e6.
+        for rho in (1e6, 1e8, 1e12, 1e100):
+            got = squared_kernel_constant(rho, 1.0) * SQRT_PI * math.sqrt(rho)
+            assert rel_err(got, 1.0 + 3.0 / (8.0 * rho)) < 1e-12, rho
+        for x, b in ((1.0, 1e-130), (1e-300, 1e-300)):  # B overflows
+            with pytest.raises(ValueError, match="leaves the float range"):
+                squared_kernel_constant(x, b)
 
     def test_quadrature_route(self):
         # (2 / b^2) * integral of the squared interior kernel
@@ -644,6 +658,11 @@ class TestMiseAndSelectors:
         b1 = chen_bandwidth(maxwell, 100)
         b2 = chen_bandwidth(maxwell, 3200)
         assert rel_err(b1, 4.0 * b2) < 1e-10
+
+    def test_chen_zero_beta_is_degenerate(self):
+        # beta scales as sigma^-3 and underflows to 0 at sigma = 1e110.
+        with pytest.raises(DegenerateIntegralError, match="beta = 0"):
+            chen_bandwidth(maxwell_reference(1e110), 200)
 
     def test_integrals_caching_consistent(self, maxwell, maxwell_integrals):
         direct = global_bandwidth_plugin(maxwell, 500)

@@ -360,7 +360,7 @@ class TestBatch:
             assert_same_bits(evaluate_batch(samples, 0.05, grid), samples, 0.05, grid)
 
     def test_checked_arrays_are_the_evaluations(self):
-        # Each row passes GridEvaluation's own checks and is the sample's evaluation.
+        # Each checked row is the sample's evaluation, as a GridEvaluation record.
         samples = [draw_sample(MaxwellParams(), 30, derived_seed(4, r)) for r in range(5)]
         grid = GridSpec(points=40).array()
         points, density, derivative = evaluate_batch(samples, 0.1, grid)
@@ -394,19 +394,10 @@ class TestBatch:
             evaluate_batch([s, s], 0.1, [0.5, 0.5])
         with pytest.raises(ValueError, match="bandwidth must be finite"):
             evaluate_batch([s, s], 0.0, [0.5, 1.0])
-
-
-class TestGridEvaluation:
-    def test_validation(self):
-        g = np.array([0.5, 1.0])
-        ok = dict(grid=g, density=np.array([0.1, 0.2]),
-                  derivative=np.array([0.0, -0.1]), bandwidth=0.1)
-        GridEvaluation(**ok)
-        with pytest.raises(ValueError):
-            GridEvaluation(**{**ok, "density": np.array([0.1])})
-        with pytest.raises(ValueError):
-            GridEvaluation(**{**ok, "density": np.array([-0.1, 0.2])})
-        with pytest.raises(ValueError):
-            GridEvaluation(**{**ok, "derivative": np.array([math.nan, 0.0])})
-        with pytest.raises(ValueError):
-            GridEvaluation(**{**ok, "bandwidth": 0.0})
+        # The x = 0 density of a sample with a zero is n_zero / (n b), which
+        # overflows at b = 1e-310; the one-sample record takes the same check.
+        zero = Sample(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="density values must be finite and >= 0"):
+            evaluate_batch([zero], 1e-310, [0.0])
+        with pytest.raises(ValueError, match="density values must be finite and >= 0"):
+            evaluate_on_grid(zero, 1e-310, [0.0])

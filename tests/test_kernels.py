@@ -55,8 +55,11 @@ def test_shape_tie_is_interior():
     assert (0.2 / 0.2) ** 2 + 1.0 == pytest.approx(2.0, abs=0.0)
 
 
-@pytest.mark.parametrize("x,b", [(-0.1, 0.1), (1.0, 0.0), (1.0, -0.5), (np.nan, 0.1)])
+@pytest.mark.parametrize(
+    "x,b", [(-0.1, 0.1), (1.0, 0.0), (1.0, -0.5), (np.nan, 0.1), (np.zeros(2), 0.1)]
+)
 def test_shape_domain_errors(x, b):
+    # the last x makes the points a 2-D array
     with pytest.raises(ValueError):
         KernelPlan([x], b)
 
@@ -89,6 +92,8 @@ def test_kernel_value_underflow_is_zero():
 def test_kernel_value_negative_t_rejected():
     with pytest.raises(ValueError):
         kernel_value(1.0, 0.1, np.array([-0.5]))
+    with pytest.raises(ValueError, match="t must be finite"):
+        kernel_value(1.0, 0.1, math.nan)
 
 
 def test_log_factor_closed_form():

@@ -68,6 +68,8 @@ def test_zero_integral_needs_abs_tol():
         abs_tol=1e-9,
     )
     assert abs(r.value) < 1e-6
+    with pytest.raises(ValueError, match="abs_tol must be finite and >= 0"):
+        integrate_semi_infinite(lambda x: np.exp(-x), 1e-8, abs_tol=-1.0)
 
 
 def test_divergent_integrand_fails_loudly():
@@ -75,6 +77,12 @@ def test_divergent_integrand_fails_loudly():
         integrate_semi_infinite(lambda x: 1.0 / x, 1e-8)
     partial = exc_info.value.partial
     assert partial is not None and partial.evaluations > 0
+    # A double pole half an ulp above 0.7, so no node lands on it: bisection
+    # narrows a panel to two adjacent floats before the target is met.
+    pole = lambda x: np.exp(-x) / ((x - 0.7) - 2.0**-54) ** 2
+    with pytest.raises(IntegrationError, match="cannot be subdivided further") as exc_info:
+        integrate_semi_infinite(pole, 1.1e-13)
+    assert exc_info.value.partial.evaluations > 0
 
 
 def test_nonfinite_integrand_fails_loudly():
