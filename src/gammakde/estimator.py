@@ -89,8 +89,8 @@ class Sample:
 class GridEvaluation:
     """Density and derivative estimates tabulated on a grid.
 
-    A plain record: evaluate_batch has checked the arrays, and the
-    constructor checks nothing again.
+    A plain record of arrays that evaluate_batch has checked; the
+    constructor checks nothing.
     """
 
     grid: np.ndarray

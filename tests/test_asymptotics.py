@@ -198,8 +198,8 @@ class TestSquaredKernelConstant:
                 assert rel_err(a, c) < 1e-12, (x, b)
 
     def test_large_ratio_and_float_range(self):
-        # B sqrt(pi) b^{5/2} sqrt(x) = 1 + 3 / (8 rho) + O(rho^-2). The
-        # log-gamma form's cancelling terms were already 5e-9 off at 1e6.
+        # B sqrt(pi) b^{5/2} sqrt(x) = 1 + 3 / (8 rho) + O(rho^-2); the
+        # cancelling log-gamma form is 5e-9 off already at rho = 1e6.
         for rho in (1e6, 1e8, 1e12, 1e100):
             got = squared_kernel_constant(rho, 1.0) * SQRT_PI * math.sqrt(rho)
             assert rel_err(got, 1.0 + 3.0 / (8.0 * rho)) < 1e-12, rho
