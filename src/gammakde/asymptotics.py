@@ -16,18 +16,26 @@ Bandwidth powers follow from balancing squared bias O(b^2) against variance
 O(n^-1 b^-3/2): the optimum scales as n^(-2/7) and the MSE there as n^(-4/7).
 
 Cost model: each pointwise formula makes one closed-form evaluation,
-ref.derivs, whichever of f, f' and f'' it reads. The global integrals of a
-built-in reference (ref.params set) are closed-form Gamma sums and call no
-integrand; any other reference is integrated by quadrature, with one
-ref.derivs evaluation per integrand call. Each SELECTORS entry evaluates
-the integrals its rule needs on every call, which for a built-in reference
-is a cache lookup (see refdens); bandwidth_report evaluates each set once
-for all three rules, so a reference without params is integrated once.
+ref.derivs, whichever of f, f' and f'' it reads. The selectors need five
+integrals of the reference density (curvature, mass and correction for the
+MISE rules; root_mass, of x^-1/2 f, and beta for the reference rule), all
+through _integrals. For a built-in family (ref.params set) they are finite
+Gamma sums that call no integrand: like powers combine in exact rational
+arithmetic, so a divergence at the origin is read off the lowest power, and
+only a few constants (pi, sqrt(2), Gamma at quarter-integers, a central
+binomial ratio) are rounded. The exact algebra runs once per process for each
+name (Maxwell, where sigma then enters as one power) or each (m, name)
+(chi-square), in a bounded cache; a later call is a lookup and, for Maxwell,
+a multiply. Any other reference is integrated by quadrature, with one
+ref.derivs evaluation per integrand call. The selectors keep no integrals:
+each SELECTORS entry asks again, while bandwidth_report evaluates each set
+once for all three rules, so a reference without params is integrated once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .refdens import PdfDerivs, ReferenceDensity, _selector_integrals
+from .refdens import ChiSquareParams, MaxwellParams, PdfDerivs, ReferenceDensity
 from .specfun import stirling_ratio
 
 __all__ = [
@@ -62,6 +70,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _QUAD_REL_TOL = 1e-10  # relative accuracy of every global integral
 _ROOT_SCAN_EDGES = 201  # 200 log-spaced brackets over the scan interval
 _ROOT_SCAN_LO = 1e-4
@@ -69,7 +78,7 @@ _ROOT_SCAN_HI = 1.0
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
     return n
 
@@ -223,18 +232,24 @@ def pointwise_optimal(ref: ReferenceDensity, x: float, n: int) -> PointwiseBandw
         b_opt = (3 f(x) x^{-3/2} / (sqrt(pi) P(x)))^{2/7} n^{-2/7}
 
     and mse_opt = (A^2 P(x) / 16 + f(x) x^{-3/2} A^{-3/2} / (4 sqrt(pi)))
-    n^{-4/7} where A is the n-free factor of b_opt.
+    n^{-4/7} where A is the n-free factor of b_opt. An x whose x^2 or P(x)
+    leaves the float range raises ValueError.
     """
     n = _check_n(n)
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"pointwise_optimal requires x > 0, got {x!r}")
-    d = ref.derivs(x)
+    if x * x == 0.0:
+        raise ValueError(f"pointwise optimum at x={x!r}: x^2 underflows to 0")
+    with np.errstate(all="ignore"):  # a term out of the float range is tested below
+        d = ref.derivs(x)
     p, f = float(_curvature(d, x)), float(d.f)
     if p <= 0.0 or f <= 0.0:
         raise ValueError(
             f"degenerate curvature or density at x={x!r}: P={p!r}, f={f!r}"
         )
+    if not math.isfinite(p):
+        raise ValueError(f"pointwise optimum at x={x!r} leaves the float range: P={p!r}")
     x_m32 = x ** -1.5
     a = (3.0 * f * x_m32 / (_SQRT_PI * p)) ** (2.0 / 7.0)
     b_opt = a * n ** (-2.0 / 7.0)
@@ -242,6 +257,220 @@ def pointwise_optimal(ref: ReferenceDensity, x: float, n: int) -> PointwiseBandw
         a * a * p / 16.0 + f * x_m32 * a ** -1.5 / (4.0 * _SQRT_PI)
     ) * n ** (-4.0 / 7.0)
     return PointwiseBandwidth(b_opt=b_opt, mse_opt=mse_opt)
+
+
+# The integrands that are squares of f-terms; the rest are linear in f.
+_SQUARED = ("curvature", "beta")
+
+
+def _times(*factors: dict) -> dict:
+    """Product of sums of powers, each a dict power -> coefficient, exactly."""
+    out = {0: 1}
+    for factor in factors:
+        product: dict = {}
+        for p, c in out.items():
+            for q, d in factor.items():
+                product[p + q] = product.get(p + q, 0) + c * d
+        out = product
+    return out
+
+
+def _rising(x, k: int):
+    """Pochhammer symbol (x)_k = Gamma(x + k) / Gamma(x), for any integer k."""
+    out = 1
+    for i in range(k):
+        out *= x + i
+    for i in range(1, 1 - k):
+        out /= x - i
+    return out
+
+
+def _gamma_sum(name: str, terms: dict, d: int, q, anchor):
+    """Exact S with integral of sum(c t^p e^{-q t^d}) = S Gamma(A) q^-A / d.
+
+    Each term integrates to c Gamma(s) q^-s / d with s = (p + 1) / d, and
+    Gamma(s) q^-s = Gamma(A) q^-A (A)_k q^-k where A is the anchor and
+    k = s - A an integer. Powers and coefficients are Fractions. The lowest
+    power with a nonzero coefficient sets the behaviour at 0: at p <= -1 the
+    integral diverges, which raises IntegrationError.
+    """
+    live = {p: c for p, c in terms.items() if c}
+    low = min(live)
+    if low <= -1:
+        raise numerics.IntegrationError(
+            f"the {name} integral diverges at the origin like x^{low}"
+        )
+    total = 0
+    for p, c in live.items():
+        k = int((p + 1) / d - anchor)
+        total += c * _rising(anchor, k) / q**k
+    return total
+
+
+# The exact sums depend on the name alone (Maxwell) or on (m, name)
+# (chi-square), so each is computed once per process; this many are kept.
+_EXACT_SUMS_KEPT = 256
+
+# Gamma at the anchors of the Maxwell sums, correctly rounded (40-digit mpmath).
+_MAXWELL_GAMMA = {0.25: 3.625609908221908, 0.5: _SQRT_PI, 0.75: 1.2254167024651776}
+
+
+def _maxwell_integral(sigma: float, name: str) -> float:
+    """One selector integral of the Maxwell density: unit * sigma^power.
+
+    A sigma power past the float range raises IntegrationError, on every
+    call; one that underflows gives 0.
+    """
+    power, unit = _maxwell_unit(name)
+    try:
+        scale = sigma**power
+    except OverflowError:
+        scale = math.inf
+    value = unit * scale
+    if math.isinf(value):
+        raise numerics.IntegrationError(
+            f"the {name} integral overflows the float range at sigma={sigma!r}"
+        )
+    return value
+
+
+@functools.lru_cache(maxsize=_EXACT_SUMS_KEPT)
+def _maxwell_unit(name: str) -> tuple[float, float]:
+    """(power, unit) of one Maxwell selector integral, which is unit sigma^power.
+
+    In u = x / sigma, with the density's sqrt(2/pi) and sigma powers in front:
+
+        curvature   (2/pi) sigma^-5 (u^4 - 5u^2 + 7/3)^2 e^{-u^2}
+        mass        sqrt(2/pi) sigma^-3/2 u^1/2 e^{-u^2/2}
+        correction  sqrt(2/pi) sigma^-5/2 (u^3/2 - u^-1/2) e^{-u^2/2}
+        root_mass   sqrt(2/pi) sigma^-1/2 u^3/2 e^{-u^2/2}
+        beta        (2/pi) sigma^-3 u^2 (u^4 - 5u^2 + 2)^2 e^{-u^2}
+
+    and u^p e^{-r u^2} integrates to Gamma((p+1)/2) / (2 r^{(p+1)/2}). The
+    Gamma sum is anchored at the fractional part of the lowest (p+1)/2, a
+    quarter-integer. No sigma enters, so the algebra runs once per name.
+    """
+    from fractions import Fraction as F
+
+    d2 = {4: 1, 2: -5, 0: 2}  # f'' / (sqrt(2/pi) sigma^-3 e^{-u^2/2})
+    power, terms = {
+        "curvature": lambda: (-5, _times(*2 * [{**d2, 0: F(7, 3)}])),
+        "mass": lambda: (-1.5, {F(1, 2): 1}),
+        "correction": lambda: (-2.5, {F(3, 2): 1, F(-1, 2): -1}),
+        "root_mass": lambda: (-0.5, {F(3, 2): 1}),
+        "beta": lambda: (-3, _times({2: 1}, d2, d2)),
+    }[name]()
+    anchor = (F(min(terms)) + 1) / 2 % 1
+    if name in _SQUARED:
+        total = _gamma_sum(name, terms, 2, F(1), anchor)
+        front = 1.0 / math.pi  # (2/pi) / 2
+    else:
+        total = _gamma_sum(name, terms, 2, F(1, 2), anchor)
+        front = _SQRT_2_OVER_PI * 2.0 ** float(anchor) / 2.0
+    return power, float(total) * _MAXWELL_GAMMA[float(anchor)] * front
+
+
+_HALF_STEP_EXACT_MAX_M = 1000
+
+
+def _half_step_ratio(m: int):
+    """Gamma(z + 1/2) / Gamma(z) at z = m/2, as (R, j) with value R pi^{j/2}.
+
+    Up to m = 1000, R is the exact rational of the central binomial
+    coefficient:
+
+        H(n) = sqrt(pi) n C(2n, n) / 4^n,   H(n + 1/2) = 4^n / (sqrt(pi) C(2n, n)).
+
+    Above, R is a float of the large-z series sqrt(z) (1 - 1/(8z)
+    + 1/(128z^2) + 5/(1024z^3) - 21/(32768z^4) - 399/(262144z^5)), whose
+    truncation error there is below 2e-20, and j = 0: the binomial's cost
+    grows like m^1.6, to 10 s at m = 1e6.
+    """
+    from fractions import Fraction
+
+    n = m // 2
+    if m <= _HALF_STEP_EXACT_MAX_M:
+        c = math.comb(2 * n, n)
+        return (Fraction(n * c, 4**n), 1) if m % 2 == 0 else (Fraction(4**n, c), -1)
+    w = 2.0 / m
+    series = -21.0 / 32768.0 - w * 399.0 / 262144.0
+    for coef in (5.0 / 1024.0, 1.0 / 128.0, -1.0 / 8.0, 1.0):
+        series = coef + w * series
+    return math.sqrt(m / 2.0) * series, 0
+
+
+@functools.lru_cache(maxsize=_EXACT_SUMS_KEPT)
+def _chi_square_integral(m: int, name: str) -> float:
+    """One selector integral of the chi-square density, in closed form.
+
+    With z = m/2, a = z - 1 and f = x^a e^{-x/2} / (2^z Gamma(z)):
+
+        curvature   f^2 ((a^2 - a + 1/3)/x^2 - a/x + 1/4)^2
+        mass        x^-3/2 f
+        correction  x^-3/2 f ((1 - a)/x + 1/2)
+        root_mass   x^-1/2 f
+        beta        f^2 ((a^2 - a)/x - a + x/4)^2
+
+    Each term c x^p e^{-qx} integrates to c Gamma(p + 1) / q^{p+1}. By the
+    duplication formula Gamma(2z) = 2^{2z-1} Gamma(z) Gamma(z + 1/2) / sqrt(pi),
+    the f^2 sums are H / (2 sqrt(pi)) times a Gamma sum anchored at 2z, and
+    the f sums sqrt(2) H times one anchored at z + 1/2, where
+    H = Gamma(z + 1/2) / Gamma(z) (_half_step_ratio). The rational parts
+    are multiplied exactly and rounded once; for even m the f^2 integrals
+    are rationals. A divergent integral raises IntegrationError, which the
+    cache does not keep, so it raises again on every call.
+    """
+    from fractions import Fraction as F
+
+    z = F(m, 2)
+    a = z - 1
+    terms = {
+        "curvature": lambda: _times(
+            {2 * a: 1}, *2 * [{-2: a * a - a + F(1, 3), -1: -a, 0: F(1, 4)}]
+        ),
+        "mass": lambda: {a - F(3, 2): 1},
+        "correction": lambda: {a - F(5, 2): 1 - a, a - F(3, 2): F(1, 2)},
+        "root_mass": lambda: {a - F(1, 2): 1},
+        "beta": lambda: _times({2 * a: 1}, *2 * [{-1: a * a - a, 0: -a, 1: F(1, 4)}]),
+    }[name]()
+    ratio, pi_power = _half_step_ratio(m)
+    if name in _SQUARED:
+        total = _gamma_sum(name, terms, 1, F(1), 2 * z)
+        front = 0.5  # and pi^-1/2
+        pi_power -= 1
+    else:
+        total = _gamma_sum(name, terms, 1, F(1, 2), z + F(1, 2))
+        front = math.sqrt(2.0)
+    return float(total * ratio) * math.pi ** (pi_power / 2) * front
+
+
+# Each selector integrand from one ref.derivs(t) at the quadrature nodes t.
+_INTEGRANDS: dict[str, Callable[[PdfDerivs, np.ndarray], np.ndarray]] = {
+    "curvature": _curvature,
+    "mass": lambda d, t: t ** -1.5 * d.f,
+    "correction": lambda d, t: t ** -1.5 * (d.f / t - d.d1),
+    "root_mass": lambda d, t: np.sqrt(1.0 / t) * d.f,
+    "beta": lambda d, t: (t * d.d2) ** 2,
+}
+
+
+def _integrals(ref: ReferenceDensity, *names: str) -> tuple[float, ...]:
+    """The named selector integrals, in order, so the first divergent one raises.
+
+    Names are the keys of _INTEGRANDS: a built-in family's closed forms,
+    or quadrature of the integrand for a reference without params.
+    """
+    params = ref.params
+    if isinstance(params, MaxwellParams):
+        return tuple(_maxwell_integral(params.sigma, name) for name in names)
+    if isinstance(params, ChiSquareParams):
+        return tuple(_chi_square_integral(params.m, name) for name in names)
+    return tuple(
+        numerics.integrate_semi_infinite(
+            lambda t, g=_INTEGRANDS[name]: g(ref.derivs(t), t), _QUAD_REL_TOL
+        ).value
+        for name in names
+    )
 
 
 @dataclass(frozen=True)
@@ -258,30 +487,9 @@ class MiseIntegrals:
     correction: float
 
 
-def _integral(g) -> float:
-    """Integral of g over (0, inf) at the accuracy of every global integral."""
-    return numerics.integrate_semi_infinite(g, _QUAD_REL_TOL).value
-
-
 def mise_integrals(ref: ReferenceDensity) -> MiseIntegrals:
-    """Evaluate the global integrals; diverging ones raise IntegrationError.
-
-    A built-in reference uses its closed forms, any other one quadrature.
-    """
-    if ref.params is not None:
-        return MiseIntegrals(
-            *_selector_integrals(ref.params, "curvature", "mass", "correction")
-        )
-
-    def correction(t):
-        d = ref.derivs(t)
-        return t ** -1.5 * (d.f / t - d.d1)
-
-    return MiseIntegrals(
-        curvature=_integral(lambda t: curvature_term(ref, t)),
-        mass=_integral(lambda t: t ** -1.5 * ref.pdf(t)),
-        correction=_integral(correction),
-    )
+    """Evaluate the global integrals; diverging ones raise IntegrationError."""
+    return MiseIntegrals(*_integrals(ref, "curvature", "mass", "correction"))
 
 
 def _rule_integrals(
@@ -313,7 +521,8 @@ def mise_leading(
            + (b^{-3/2} / (4 sqrt(pi) n)) * (mass + (b/2) * correction)
 
     Integrals with curvature <= 0 or mass < 0, or a negative variance part
-    mass + (b/2) correction, raise DegenerateIntegralError.
+    mass + (b/2) correction, raise DegenerateIntegralError. A b at which
+    b^{3/2} or the value leaves the float range raises ValueError.
     """
     b = _check_bandwidth(b)
     n = _check_n(n)
@@ -323,9 +532,15 @@ def mise_leading(
         raise numerics.DegenerateIntegralError(
             f"negative variance part {variance_part!r} at b={b!r}; no leading MISE"
         )
-    return (b * b / 16.0) * ints.curvature + variance_part / (
-        4.0 * _SQRT_PI * n * b ** 1.5
-    )
+    try:
+        mise = (b * b / 16.0) * ints.curvature + variance_part / (
+            4.0 * _SQRT_PI * n * b ** 1.5
+        )
+    except (OverflowError, ZeroDivisionError):  # b^(3/2) overflows or underflows
+        mise = math.nan
+    if not math.isfinite(mise):
+        raise ValueError(f"leading MISE at b={b!r} leaves the float range")
+    return mise
 
 
 def global_bandwidth_plugin(
@@ -429,14 +644,8 @@ def chen_constants(ref: ReferenceDensity) -> tuple[float, float]:
 
     V = (1 / (2 sqrt(pi))) integral of x^{-1/2} f(x)
     beta = integral of (x f''(x))^2
-
-    A built-in reference uses its closed forms, any other one quadrature.
     """
-    if ref.params is not None:
-        root_mass, beta = _selector_integrals(ref.params, "root_mass", "beta")
-    else:
-        root_mass = _integral(lambda t: np.sqrt(1.0 / t) * ref.pdf(t))
-        beta = _integral(lambda t: (t * ref.d2(t)) ** 2)
+    root_mass, beta = _integrals(ref, "root_mass", "beta")
     return root_mass / (2.0 * _SQRT_PI), beta
 
 

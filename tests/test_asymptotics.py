@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gammakde.asymptotics import (
     MiseIntegrals,
+    _integrals,
     bandwidth_report,
     bias_boundary,
     bias_interior,
@@ -37,12 +38,12 @@ from gammakde.numerics import (
     NoRootError,
 )
 from gammakde.refdens import (
-    ChiSquareParams,
+    MaxwellParams,
     PdfDerivs,
     ReferenceDensity,
-    _selector_integrals,
     chi_square_reference,
     maxwell_reference,
+    sample,
 )
 
 from conftest import quadrature_only, rel_err
@@ -181,6 +182,49 @@ class TestPointwise:
         # f(100) underflows to 0 for sigma = 1
         with pytest.raises(ValueError, match="degenerate curvature or density"):
             pointwise_optimal(maxwell, 100.0, 200)
+
+    # f / (3 x^2) divides by an x^2 that underflows to 0, or P(x) overflows:
+    # a ValueError that names x, with no warning, not a ZeroDivisionError.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "ref, x, message",
+        [
+            (maxwell_reference(1.0), 1e-300, "x^2 underflows to 0"),
+            (chi_square_reference(3), 1e-300, "x^2 underflows to 0"),
+            (maxwell_reference(1e-200), 1e-200, "x^2 underflows to 0"),
+            (chi_square_reference(3), 1e-150, "leaves the float range: P=inf"),
+            (chi_square_reference(6), 1e-160, "leaves the float range: P=nan"),
+        ],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_pointwise_optimal_out_of_float_range_names_x(self, ref, x, message):
+        with pytest.raises(ValueError) as exc_info:
+            pointwise_optimal(ref, x, 10)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value).startswith(f"pointwise optimum at x={x!r}")
+        assert str(exc_info.value).endswith(message)
+
+
+# A bool is an int to isinstance; no sample size accepts True as n = 1.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: global_bandwidth_plugin(maxwell_reference(), True), "sample size"),
+        (lambda: refined_bandwidth(maxwell_reference(), True), "sample size"),
+        (lambda: chen_bandwidth(maxwell_reference(), True), "sample size"),
+        (lambda: bandwidth_report(maxwell_reference(), True), "sample size"),
+        (lambda: variance_leading(maxwell_reference(), 1.0, 0.1, True), "sample size"),
+        (lambda: mise_leading(maxwell_reference(), 0.1, True), "sample size"),
+        (lambda: pointwise_optimal(maxwell_reference(), 1.0, True), "sample size"),
+        (lambda: sample(MaxwellParams(), True, 1), "n"),
+    ],
+    ids=["plugin", "refined", "chen", "report", "variance", "mise", "pointwise", "sample"],
+)
+def test_bool_sample_size_is_rejected(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == f"{message} must be a positive integer, got True"
 
 
 class TestSquaredKernelConstant:
@@ -345,11 +389,11 @@ class TestGlobalIntegrals:
     def test_closed_form_divergence_is_named(self, counts, m, diverging):
         for name in ("curvature", "mass", "correction", "root_mass", "beta"):
             if name not in diverging:
-                [value] = _selector_integrals(ChiSquareParams(m), name)
+                [value] = _integrals(chi_square_reference(m), name)
                 assert math.isfinite(value) and value != 0.0, name
                 continue
             with pytest.raises(IntegrationError) as exc_info:
-                _selector_integrals(ChiSquareParams(m), name)
+                _integrals(chi_square_reference(m), name)
             assert type(exc_info.value) is IntegrationError
             assert str(exc_info.value) == (
                 f"the {name} integral diverges at the origin like x^{diverging[name]}"
@@ -480,6 +524,37 @@ class TestClosedForms:
         for got, want in zip(_closed_forms(quadrature_only(ref)), _closed_forms(ref)):
             assert rel_err(got, want) <= 1e-10, (got, want)
 
+    # (curvature, mass, correction, V, beta) by quadrature, pinned bit for bit:
+    # the integrands and their order of evaluation are part of the route.
+    @pytest.mark.parametrize(
+        "ref, want",
+        [
+            (
+                maxwell_reference(1.0),
+                (
+                    "0x1.15549d3b8d60ep+1",
+                    "0x1.a4f4a3f5d83f9p-1",
+                    "-0x1.b8572945549e5p-1",
+                    "0x1.f0defaf3f310ap-3",
+                    "0x1.7d64647f7f123p+1",
+                ),
+            ),
+            (
+                chi_square_reference(6),
+                (
+                    "0x1.f1c71c71c71b7p-8",
+                    "0x1.40d931ff65f6bp-3",
+                    "-0x1.40d931ff51e5fp-4",
+                    "0x1.0f876ccdf6578p-3",
+                    "0x1.3fffffffffff6p-6",
+                ),
+            ),
+        ],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_quadrature_bits(self, ref, want):
+        assert tuple(v.hex() for v in _closed_forms(quadrature_only(ref))) == want
+
     @given(st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=200, deadline=None)
     def test_selectors_scale_with_sigma(self, log10_sigma):
@@ -541,6 +616,21 @@ class TestMiseAndSelectors:
         assert rel_err(got, 0.0030918384548838355) < 1e-9
         got = mise_leading(maxwell, 0.05, 500, integrals=maxwell_integrals)
         assert rel_err(got, 0.020540704217178877) < 1e-9
+
+    # b^{3/2} underflows to 0 (b = 1e-220, 1e-300) or so near it that the
+    # variance term overflows: a ValueError that names b, with no warning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "ref, b",
+        [(maxwell_reference(1.0), b) for b in (1e-210, 2.9e-216, 2.8e-216, 1e-220)]
+        + [(chi_square_reference(6), 1e-300)],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_mise_leading_out_of_float_range_names_b(self, ref, b):
+        with pytest.raises(ValueError) as exc_info:
+            mise_leading(ref, b, 10)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value) == f"leading MISE at b={b!r} leaves the float range"
 
     def test_plugin_frozen(self, maxwell, maxwell_integrals):
         b200 = global_bandwidth_plugin(maxwell, 200, integrals=maxwell_integrals)

@@ -5,6 +5,7 @@ and every name the benchmark under bench/ reaches through the package must
 stay present.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -77,7 +78,8 @@ PUBLIC = [
     "write_report",
 ]
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _modules():
@@ -123,3 +125,20 @@ def test_names_the_benchmark_uses_are_present():
     for cls in (gammakde.ExperimentConfig, gammakde.ConvergenceConfig,
                 gammakde.MomentCheckConfig):
         assert callable(cls.from_dict)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A private name stays in its module; what another module needs is public.
+    leaks = []
+    for path in sorted((ROOT / "src" / "gammakde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("gammakde"):
+                continue
+            leaks += [
+                f"{path.name}:{node.lineno} imports {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert leaks == []

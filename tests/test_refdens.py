@@ -10,13 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gammakde.asymptotics import bandwidth_report, curvature_term
-from gammakde import refdens
+from gammakde.asymptotics import _integrals, bandwidth_report, curvature_term
+from gammakde import asymptotics, refdens
 from gammakde.numerics import IntegrationError, integrate_semi_infinite
 from gammakde.refdens import (
     ChiSquareParams,
     MaxwellParams,
-    _selector_integrals,
     chi_square_pdf_derivs,
     chi_square_reference,
     derived_seed,
@@ -373,12 +372,12 @@ def _outcome(fn, *args) -> str:
 
 def _cases() -> list:
     cases = [(bandwidth_report, reference_for(p), n) for p, n in SWEEP]
-    return cases + [(_selector_integrals, p, name) for p in EXTRA for name in NAMES]
+    return cases + [(_integrals, reference_for(p), name) for p in EXTRA for name in NAMES]
 
 
 def _clear_memos() -> None:
     for memo in MEMOS:
-        getattr(refdens, memo).cache_clear()
+        getattr(asymptotics, memo).cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +385,7 @@ def unmemoized():
     """Every case's outcome with the exact algebra redone on each call."""
     patch = pytest.MonkeyPatch()
     for memo in MEMOS:
-        patch.setattr(refdens, memo, getattr(refdens, memo).__wrapped__)
+        patch.setattr(asymptotics, memo, getattr(asymptotics, memo).__wrapped__)
     try:
         return [_outcome(*case) for case in _cases()]
     finally:
@@ -408,14 +407,14 @@ def test_memoized_sums_keep_every_bit_in_any_order(unmemoized, order_seed):
 def test_divergent_sums_raise_on_every_call(m):
     _clear_memos()
     outcomes = {
-        name: [_outcome(_selector_integrals, ChiSquareParams(m), name) for _ in range(2)]
+        name: [_outcome(_integrals, chi_square_reference(m), name) for _ in range(2)]
         for name in NAMES
     }
     assert all(first == second for first, second in outcomes.values())
     diverging = [n for n, (first, _) in outcomes.items() if "diverges at the origin" in first]
     assert "curvature" in diverging
     # Only the finite sums are kept.
-    kept = refdens._chi_square_integral.cache_info().currsize
+    kept = asymptotics._chi_square_integral.cache_info().currsize
     assert kept == len(NAMES) - len(diverging)
 
 
@@ -424,4 +423,4 @@ def test_overflowing_maxwell_sum_raises_on_every_call():
         with pytest.raises(IntegrationError, match=(
             r"^the curvature integral overflows the float range at sigma=1e-300$"
         )):
-            _selector_integrals(MaxwellParams(1e-300), "curvature")
+            _integrals(maxwell_reference(1e-300), "curvature")
