@@ -20,12 +20,13 @@ ref.derivs, whichever of f, f' and f'' it reads. The selectors need five
 integrals of the reference density (curvature, mass and correction for the
 MISE rules; root_mass, of x^-1/2 f, and beta for the reference rule), all
 through _integrals. For a built-in family (ref.params set) they are finite
-Gamma sums that call no integrand: like powers combine in exact rational
-arithmetic, so a divergence at the origin is read off the lowest power, and
-only a few constants (pi, sqrt(2), Gamma at quarter-integers, a central
-binomial ratio) are rounded. The exact algebra runs once per process for each
-name (Maxwell, where sigma then enters as one power) or each (m, name)
-(chi-square), in a bounded cache; a later call is a lookup and, for Maxwell,
+Gamma sums that call no integrand: like powers combine exactly, as
+rationals held in pairs of Python ints, so a divergence at the origin is
+read off the lowest power, and only a few constants (pi, sqrt(2), Gamma at
+quarter-integers, a central binomial ratio) are rounded. The exact algebra
+runs once per process for each name (Maxwell, where sigma then enters as one
+power) or each (m, name) (chi-square), in a bounded cache, and costs well
+under a millisecond per family; a later call is a lookup and, for Maxwell,
 a multiply. Any other reference is integrated by quadrature, with one
 ref.derivs evaluation per integrand call. The selectors keep no integrals:
 each SELECTORS entry asks again, while bandwidth_report evaluates each set
@@ -151,8 +152,14 @@ def bias_boundary(ref: ReferenceDensity, b: float, kappa: float) -> float:
     x = kappa * b
     slope_coef = (3.0 * kappa * kappa - 6.0 * kappa - 1.0) / (6.0 * kappa)
     curve_coef = 7.0 * kappa / 48.0 + kappa * kappa / 2.0
-    d = ref.derivs(x)
-    return float(d.d1) * slope_coef + b * float(d.d2) * curve_coef
+    with np.errstate(all="ignore"):  # a term out of the float range is tested below
+        d = ref.derivs(x)
+    bias = float(d.d1) * slope_coef + b * float(d.d2) * curve_coef
+    if not math.isfinite(bias):
+        raise ValueError(
+            f"boundary bias at b={b!r}, kappa={kappa!r} leaves the float range"
+        )
+    return bias
 
 
 def variance_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float:
@@ -210,10 +217,16 @@ def squared_kernel_constant(x: float, b: float) -> float:
 
 
 def mse_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float:
-    """Pointwise leading MSE: (b^2 / 16) curvature + leading variance."""
-    return (b * b / 16.0) * float(curvature_term(ref, x)) + variance_leading(
-        ref, x, b, n
-    )
+    """Pointwise leading MSE: (b^2 / 16) curvature + leading variance.
+
+    Raises ValueError where either term leaves the float range.
+    """
+    variance = variance_leading(ref, x, b, n)
+    with np.errstate(all="ignore"):  # a term out of the float range is tested below
+        mse = (b * b / 16.0) * float(curvature_term(ref, x)) + variance
+    if not math.isfinite(mse):
+        raise ValueError(f"leading MSE at x={x!r}, b={b!r} leaves the float range")
+    return mse
 
 
 @dataclass(frozen=True)
@@ -263,47 +276,65 @@ def pointwise_optimal(ref: ReferenceDensity, x: float, n: int) -> PointwiseBandw
 _SQUARED = ("curvature", "beta")
 
 
+# The exact algebra below runs on plain ints: a rational is an unreduced
+# pair (num, den) with den > 0, and a power p of x is the int key 2p, since
+# every power of both families is a multiple of 1/2. Each value is rounded
+# once, by int / int true division, which is correctly rounded.
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
 def _times(*factors: dict) -> dict:
     """Product of sums of powers, each a dict power -> coefficient, exactly."""
-    out = {0: 1}
+    out = {0: (1, 1)}
     for factor in factors:
         product: dict = {}
         for p, c in out.items():
             for q, d in factor.items():
-                product[p + q] = product.get(p + q, 0) + c * d
+                product[p + q] = _add(product.get(p + q, (0, 1)), _mul(c, d))
         out = product
     return out
 
 
-def _rising(x, k: int):
+def _rising(x: tuple, k: int) -> tuple:
     """Pochhammer symbol (x)_k = Gamma(x + k) / Gamma(x), for any integer k."""
-    out = 1
+    num, den = x
+    out = (1, 1)
     for i in range(k):
-        out *= x + i
-    for i in range(1, 1 - k):
-        out /= x - i
+        out = _mul(out, (num + i * den, den))
+    for i in range(1, 1 - k):  # x - i >= x + k > 0 for a convergent term
+        out = _mul(out, (den, num - i * den))
     return out
 
 
-def _gamma_sum(name: str, terms: dict, d: int, q, anchor):
+def _gamma_sum(name: str, terms: dict, d: int, q: tuple, anchor: tuple) -> tuple:
     """Exact S with integral of sum(c t^p e^{-q t^d}) = S Gamma(A) q^-A / d.
 
     Each term integrates to c Gamma(s) q^-s / d with s = (p + 1) / d, and
     Gamma(s) q^-s = Gamma(A) q^-A (A)_k q^-k where A is the anchor and
-    k = s - A an integer. Powers and coefficients are Fractions. The lowest
-    power with a nonzero coefficient sets the behaviour at 0: at p <= -1 the
-    integral diverges, which raises IntegrationError.
+    k = s - A an integer. Keys are 2p and coefficients, q, A and S int
+    pairs. The lowest power with a nonzero coefficient sets the behaviour
+    at 0: at p <= -1 the integral diverges, which raises IntegrationError.
     """
-    live = {p: c for p, c in terms.items() if c}
+    live = {p: c for p, c in terms.items() if c[0]}
     low = min(live)
-    if low <= -1:
+    if low <= -2:
+        power = low // 2 if low % 2 == 0 else f"{low}/2"
         raise numerics.IntegrationError(
-            f"the {name} integral diverges at the origin like x^{low}"
+            f"the {name} integral diverges at the origin like x^{power}"
         )
-    total = 0
+    total = (0, 1)
     for p, c in live.items():
-        k = int((p + 1) / d - anchor)
-        total += c * _rising(anchor, k) / q**k
+        k = ((p + 2) * anchor[1] - 2 * d * anchor[0]) // (2 * d * anchor[1])
+        num, den = q if k < 0 else q[::-1]  # q^-k
+        term = _mul(c, _rising(anchor, k))
+        total = _add(total, _mul(term, (num ** abs(k), den ** abs(k))))
     return total
 
 
@@ -350,24 +381,23 @@ def _maxwell_unit(name: str) -> tuple[float, float]:
     Gamma sum is anchored at the fractional part of the lowest (p+1)/2, a
     quarter-integer. No sigma enters, so the algebra runs once per name.
     """
-    from fractions import Fraction as F
-
-    d2 = {4: 1, 2: -5, 0: 2}  # f'' / (sqrt(2/pi) sigma^-3 e^{-u^2/2})
+    # f'' / (sqrt(2/pi) sigma^-3 e^{-u^2/2}), keyed by 2p
+    d2 = {8: (1, 1), 4: (-5, 1), 0: (2, 1)}
     power, terms = {
-        "curvature": lambda: (-5, _times(*2 * [{**d2, 0: F(7, 3)}])),
-        "mass": lambda: (-1.5, {F(1, 2): 1}),
-        "correction": lambda: (-2.5, {F(3, 2): 1, F(-1, 2): -1}),
-        "root_mass": lambda: (-0.5, {F(3, 2): 1}),
-        "beta": lambda: (-3, _times({2: 1}, d2, d2)),
+        "curvature": lambda: (-5, _times(*2 * [{**d2, 0: (7, 3)}])),
+        "mass": lambda: (-1.5, {1: (1, 1)}),
+        "correction": lambda: (-2.5, {3: (1, 1), -1: (-1, 1)}),
+        "root_mass": lambda: (-0.5, {3: (1, 1)}),
+        "beta": lambda: (-3, _times({4: (1, 1)}, d2, d2)),
     }[name]()
-    anchor = (F(min(terms)) + 1) / 2 % 1
+    anchor = ((min(terms) + 2) % 4, 4)  # (p + 1) / 2 mod 1, with key 2p
     if name in _SQUARED:
-        total = _gamma_sum(name, terms, 2, F(1), anchor)
+        num, den = _gamma_sum(name, terms, 2, (1, 1), anchor)
         front = 1.0 / math.pi  # (2/pi) / 2
     else:
-        total = _gamma_sum(name, terms, 2, F(1, 2), anchor)
-        front = _SQRT_2_OVER_PI * 2.0 ** float(anchor) / 2.0
-    return power, float(total) * _MAXWELL_GAMMA[float(anchor)] * front
+        num, den = _gamma_sum(name, terms, 2, (1, 2), anchor)
+        front = _SQRT_2_OVER_PI * 2.0 ** (anchor[0] / 4) / 2.0
+    return power, num / den * _MAXWELL_GAMMA[anchor[0] / 4] * front
 
 
 _HALF_STEP_EXACT_MAX_M = 1000
@@ -376,8 +406,8 @@ _HALF_STEP_EXACT_MAX_M = 1000
 def _half_step_ratio(m: int):
     """Gamma(z + 1/2) / Gamma(z) at z = m/2, as (R, j) with value R pi^{j/2}.
 
-    Up to m = 1000, R is the exact rational of the central binomial
-    coefficient:
+    Up to m = 1000, R is the exact (num, den) int pair of the central
+    binomial coefficient:
 
         H(n) = sqrt(pi) n C(2n, n) / 4^n,   H(n + 1/2) = 4^n / (sqrt(pi) C(2n, n)).
 
@@ -386,12 +416,10 @@ def _half_step_ratio(m: int):
     truncation error there is below 2e-20, and j = 0: the binomial's cost
     grows like m^1.6, to 10 s at m = 1e6.
     """
-    from fractions import Fraction
-
     n = m // 2
     if m <= _HALF_STEP_EXACT_MAX_M:
         c = math.comb(2 * n, n)
-        return (Fraction(n * c, 4**n), 1) if m % 2 == 0 else (Fraction(4**n, c), -1)
+        return ((n * c, 4**n), 1) if m % 2 == 0 else ((4**n, c), -1)
     w = 2.0 / m
     series = -21.0 / 32768.0 - w * 399.0 / 262144.0
     for coef in (5.0 / 1024.0, 1.0 / 128.0, -1.0 / 8.0, 1.0):
@@ -420,28 +448,29 @@ def _chi_square_integral(m: int, name: str) -> float:
     are rationals. A divergent integral raises IntegrationError, which the
     cache does not keep, so it raises again on every call.
     """
-    from fractions import Fraction as F
-
-    z = F(m, 2)
-    a = z - 1
+    e, aa = m - 2, (m - 2) * (m - 4)  # keys 2p: x^a is x^e; aa = 4 (a^2 - a)
     terms = {
         "curvature": lambda: _times(
-            {2 * a: 1}, *2 * [{-2: a * a - a + F(1, 3), -1: -a, 0: F(1, 4)}]
+            {2 * e: (1, 1)}, *2 * [{-4: (3 * aa + 4, 12), -2: (-e, 2), 0: (1, 4)}]
         ),
-        "mass": lambda: {a - F(3, 2): 1},
-        "correction": lambda: {a - F(5, 2): 1 - a, a - F(3, 2): F(1, 2)},
-        "root_mass": lambda: {a - F(1, 2): 1},
-        "beta": lambda: _times({2 * a: 1}, *2 * [{-1: a * a - a, 0: -a, 1: F(1, 4)}]),
+        "mass": lambda: {e - 3: (1, 1)},
+        "correction": lambda: {e - 5: (2 - e, 2), e - 3: (1, 2)},
+        "root_mass": lambda: {e - 1: (1, 1)},
+        "beta": lambda: _times(
+            {2 * e: (1, 1)}, *2 * [{-2: (aa, 4), 0: (-e, 2), 2: (1, 4)}]
+        ),
     }[name]()
     ratio, pi_power = _half_step_ratio(m)
     if name in _SQUARED:
-        total = _gamma_sum(name, terms, 1, F(1), 2 * z)
+        total = _gamma_sum(name, terms, 1, (1, 1), (m, 1))
         front = 0.5  # and pi^-1/2
         pi_power -= 1
     else:
-        total = _gamma_sum(name, terms, 1, F(1, 2), z + F(1, 2))
+        total = _gamma_sum(name, terms, 1, (1, 2), (m + 1, 2))
         front = math.sqrt(2.0)
-    return float(total * ratio) * math.pi ** (pi_power / 2) * front
+    if isinstance(ratio, tuple):  # exact up to _HALF_STEP_EXACT_MAX_M
+        total, ratio = _mul(total, ratio), 1.0
+    return total[0] / total[1] * ratio * math.pi ** (pi_power / 2) * front
 
 
 # Each selector integrand from one ref.derivs(t) at the quadrature nodes t.

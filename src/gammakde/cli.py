@@ -23,7 +23,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 Cost model: importing this module imports the package. The argument parser
 is built once per process, on the first main() call, and each call after
 that only parses. The exact selector sums of a family are computed once per
-process too (see `refdens`), so repeated calls in one process pay for
+process too (see `asymptotics`), so repeated calls in one process pay for
 their numbers and their output files only.
 """
 

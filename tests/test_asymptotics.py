@@ -38,11 +38,13 @@ from gammakde.numerics import (
     NoRootError,
 )
 from gammakde.refdens import (
+    ChiSquareParams,
     MaxwellParams,
     PdfDerivs,
     ReferenceDensity,
     chi_square_reference,
     maxwell_reference,
+    reference_for,
     sample,
 )
 
@@ -114,6 +116,17 @@ class TestPointwise:
             with pytest.raises(ValueError):
                 bias_boundary(maxwell, 0.05, kappa)
 
+    # f'' of Maxwell sigma = 1e-200 overflows at x = kappa b: a ValueError
+    # that names b and kappa, with no warning, not inf.
+    @pytest.mark.filterwarnings("error")
+    def test_bias_boundary_out_of_float_range_names_b(self):
+        with pytest.raises(ValueError) as exc_info:
+            bias_boundary(maxwell_reference(1e-200), 1e-200, 1e-200)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value) == (
+            "boundary bias at b=1e-200, kappa=1e-200 leaves the float range"
+        )
+
     def test_variance_leading_frozen(self, maxwell):
         assert (
             rel_err(variance_leading(maxwell, 1.0, 0.04, 1000), 0.0085323351435752717)
@@ -154,6 +167,25 @@ class TestPointwise:
             maxwell, 1.0, 0.04, 1000
         )
         assert rel_err(got, recon) < 1e-15
+
+    # The variance term raises before the curvature term is evaluated, and a
+    # curvature term out of the float range raises after it: one ValueError
+    # and no warning, where the last case returned inf.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "ref, x, b, message",
+        [
+            (maxwell_reference(1e-200), 1e-200, 1e-200, "interior variance requires"),
+            (chi_square_reference(3), 1e-300, 1e-301, "interior variance at x=1e-300"),
+            (chi_square_reference(3), 1e-120, 5e-121, "leading MSE at x=1e-120"),
+        ],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_mse_leading_out_of_float_range(self, ref, x, b, message):
+        with pytest.raises(ValueError) as exc_info:
+            mse_leading(ref, x, b, 10)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value).startswith(message)
 
     def test_pointwise_optimal_frozen(self, maxwell):
         pw = pointwise_optimal(maxwell, 1.0, 1000)
@@ -492,6 +524,83 @@ CHI_SQUARE_MPMATH = {
 }
 
 
+SELECTOR_INTEGRALS = ("curvature", "mass", "correction", "root_mass", "beta")
+# float.hex of _integrals(reference_for(params), *SELECTOR_INTEGRALS), frozen
+# from an implementation of the same Gamma sums in fractions.Fraction.
+CLOSED_FORM_BITS = {
+    MaxwellParams(1.0): (
+        "0x1.15549d3b8d61bp+1",
+        "0x1.a4f4a3f5d445ep-1",
+        "-0x1.b85729459f441p-1",
+        "0x1.b85729459f441p-1",
+        "0x1.7d64647f7f136p+1",
+    ),
+    ChiSquareParams(6): (
+        "0x1.f1c71c71c71c7p-8",
+        "0x1.40d931ff62706p-3",
+        "-0x1.40d931ff62706p-4",
+        "0x1.e145caff13a89p-2",
+        "0x1.4000000000000p-6",
+    ),
+    ChiSquareParams(7): (
+        "0x1.1e8373627928bp-9",
+        "0x1.b3c058c9e17cep-4",
+        "-0x1.b3c058c9e17cep-6",
+        "0x1.b3c058c9e17cep-2",
+        "0x1.1a7d4a36a9cb6p-6",
+    ),
+    ChiSquareParams(10): (
+        "0x1.7684bda12f685p-12",
+        "0x1.910f7e7f3b0c7p-5",
+        "-0x1.40d931ff62706p-8",
+        "0x1.5eed8eaf53aaep-2",
+        "0x1.b800000000000p-7",
+    ),
+    ChiSquareParams(50): (
+        "0x1.4f20d62f69f20p-19",
+        "0x1.906ecd1ec6277p-9",
+        "-0x1.1cc091dcfeb00p-15",
+        "0x1.26115ea299850p-3",
+        "0x1.6271c31eb3e00p-8",
+    ),
+    ChiSquareParams(999): (
+        "0x1.487f9f1751da2p-30",
+        "0x1.0aab81f5b87e9p-15",
+        "-0x1.12b7e52c866edp-26",
+        "0x1.0360d16800732p-5",
+        "0x1.3688e0b308b21p-10",
+    ),
+    ChiSquareParams(1000): (
+        "0x1.47ace06d3c894p-30",
+        "0x1.0a44e01ccdc63p-15",
+        "-0x1.12079724970d5p-26",
+        "0x1.033f8f340b594p-5",
+        "0x1.3661086fc7678p-10",
+    ),
+    ChiSquareParams(1001): (
+        "0x1.46dadedac7573p-30",
+        "0x1.09de800833b64p-15",
+        "-0x1.1157e75bb5ae1p-26",
+        "0x1.031e59c7fe663p-5",
+        "0x1.36393f7efd35fp-10",
+    ),
+    ChiSquareParams(2000): (
+        "0x1.cd940687df67fp-33",
+        "0x1.77dabfe83c486p-17",
+        "-0x1.81d6efdd56a68p-29",
+        "0x1.6e7ead60d3c80p-6",
+        "0x1.b6b43dd22597ap-11",
+    ),
+    ChiSquareParams(100_000): (
+        "0x1.aa2717628603ap-47",
+        "0x1.0fa5d436816abp-25",
+        "-0x1.64126c7c469f5p-43",
+        "0x1.9e7d39fe2e95fp-9",
+        "0x1.f012cb32c6103p-14",
+    ),
+}
+
+
 def _closed_forms(ref) -> tuple:
     ints = mise_integrals(ref)
     return (ints.curvature, ints.mass, ints.correction, *chen_constants(ref))
@@ -554,6 +663,13 @@ class TestClosedForms:
     )
     def test_quadrature_bits(self, ref, want):
         assert tuple(v.hex() for v in _closed_forms(quadrature_only(ref))) == want
+
+    # The exact sums pinned bit for bit, as hex: odd and even m, both sides
+    # of the exact Gamma ratio's limit m = 1000 and its large-m series.
+    @pytest.mark.parametrize("params, want", CLOSED_FORM_BITS.items(), ids=str)
+    def test_closed_form_bits(self, params, want):
+        got = _integrals(reference_for(params), *SELECTOR_INTEGRALS)
+        assert tuple(v.hex() for v in got) == want
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=200, deadline=None)

@@ -71,6 +71,22 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
+def _fresh_imports(argvs, modules) -> str:
+    """Exit codes of main over argvs in one fresh process, and which of the
+    modules it imported, as that process prints them to stderr."""
+    code = (
+        "import sys; from gammakde.cli import main; "
+        f"codes = [main(argv) for argv in {argvs!r}]; "
+        f"print(codes, [m for m in {modules!r} if m in sys.modules], file=sys.stderr)"
+    )
+    src = str(Path(gammakde.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.stderr
+
+
 @pytest.fixture(autouse=True)
 def no_out_env(monkeypatch):
     monkeypatch.delenv("GAMMAKDE_OUT", raising=False)
@@ -239,17 +255,8 @@ class TestReproduce:
         # The ISE median is taken without np.median, whose first call
         # imports numpy.ma (about 20 ms).
         cfg = write_config(tmp_path, MAXWELL_EXPERIMENT)
-        code = (
-            "import sys; from gammakde.cli import main; "
-            f"rc = main(['reproduce', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
-            "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)"
-        )
-        src = str(Path(gammakde.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.stderr == f"{EXIT_OK} False\n"
+        argv = ["reproduce", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert _fresh_imports([argv], ["numpy.ma"]) == f"{[EXIT_OK]} []\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -335,6 +342,21 @@ class TestOutputResolution:
 
 
 class TestBandwidths:
+    def test_fresh_selectors_do_not_import_fractions(self, tmp_path):
+        # The exact selector sums run on Python ints; the fractions module
+        # and its decimal import cost several ms of a cold selector sweep.
+        runs = [
+            ("bandwidths", {"distribution": {"name": "maxwell", "sigma": 1.0}, "n": 200}),
+            ("bandwidths", {"distribution": {"name": "chi_square", "m": 6}, "n": 500}),
+            ("reproduce", {**MAXWELL_EXPERIMENT, "n": 20, "replications": 2}),
+        ]
+        argvs = [
+            [cmd, "--config", write_config(tmp_path, cfg, f"{i}.json"),
+             "--out", str(tmp_path / f"out{i}")]
+            for i, (cmd, cfg) in enumerate(runs)
+        ]
+        assert _fresh_imports(argvs, ["fractions", "decimal"]) == f"{[EXIT_OK] * 3} []\n"
+
     def test_default_config(self, tmp_path, capsys):
         out = tmp_path / "bw"
         assert main(["bandwidths", "--out", str(out)]) == EXIT_OK
