@@ -48,7 +48,6 @@ import json
 import os
 import platform
 import resource
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -160,8 +159,16 @@ def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _median(values: list) -> float:
+    # statistics imports fractions and decimal; importing it here, not at the
+    # top, keeps them out of the study child, which imports this module.
+    import statistics
+
+    return statistics.median(values)
+
+
 def _stat(name: str, values: list) -> dict:
-    return {name: statistics.median(values), f"{name}_rounds": values}
+    return {name: _median(values), f"{name}_rounds": values}
 
 
 def _commit() -> str | None:
@@ -246,7 +253,7 @@ def main(argv=None) -> int:
         "estimator": rows,
         "studies": results,
         "reproduce_split_jobs1": {
-            key: {"median_s": statistics.median(values), "rounds_s": values}
+            key: {"median_s": _median(values), "rounds_s": values}
             for key, values in split.items()
         },
     }
