@@ -666,7 +666,9 @@ class TestClosedForms:
 
     # The exact sums pinned bit for bit, as hex: odd and even m, both sides
     # of the exact Gamma ratio's limit m = 1000 and its large-m series.
-    @pytest.mark.parametrize("params, want", CLOSED_FORM_BITS.items(), ids=str)
+    @pytest.mark.parametrize(
+        "params, want", CLOSED_FORM_BITS.items(), ids=[str(p) for p in CLOSED_FORM_BITS]
+    )
     def test_closed_form_bits(self, params, want):
         got = _integrals(reference_for(params), *SELECTOR_INTEGRALS)
         assert tuple(v.hex() for v in got) == want
