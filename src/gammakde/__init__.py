@@ -18,6 +18,8 @@ numerics     adaptive quadrature on (0, inf), bisection
 cli          `gammakde` command line front end
 """
 
+from types import ModuleType as _ModuleType
+
 from .asymptotics import (
     BandwidthConstants,
     BandwidthReport,
@@ -88,65 +90,6 @@ from .specfun import digamma, log_gamma, stirling_ratio
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthConstants",
-    "BandwidthReport",
-    "BandwidthsConfig",
-    "ChiSquareParams",
-    "ConfigError",
-    "ConvergenceConfig",
-    "ConvergenceResult",
-    "DegenerateIntegralError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FixedBandwidth",
-    "GridEvaluation",
-    "GridSpec",
-    "IntegrationError",
-    "MaxwellParams",
-    "MiseIntegrals",
-    "MomentCheckConfig",
-    "MomentCheckReport",
-    "NoRootError",
-    "PdfDerivs",
-    "PointwiseBandwidth",
-    "QuadratureResult",
-    "ReferenceDensity",
-    "RefinedBandwidth",
-    "Sample",
-    "asymptotic_moment_check",
-    "bandwidth_report",
-    "bias_boundary",
-    "bias_interior",
-    "chen_bandwidth",
-    "chen_constants",
-    "chi_square_pdf_derivs",
-    "chi_square_reference",
-    "convergence_study",
-    "curvature_term",
-    "density_at",
-    "derivative_at",
-    "derived_seed",
-    "digamma",
-    "evaluate_on_grid",
-    "find_root",
-    "global_bandwidth_plugin",
-    "integrate_semi_infinite",
-    "kernel_value",
-    "kernel_x_derivative",
-    "log_gamma",
-    "maxwell_pdf_derivs",
-    "maxwell_reference",
-    "mise_integrals",
-    "mise_leading",
-    "mse_leading",
-    "pointwise_optimal",
-    "reference_for",
-    "refined_bandwidth",
-    "run_experiment",
-    "sample",
-    "squared_kernel_constant",
-    "stirling_ratio",
-    "variance_leading",
-    "write_report",
-]
+# Every public name the imports above bind, less the submodules they bind too.
+__all__ = sorted(name for name, obj in vars().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -99,12 +99,17 @@ def _curvature(d: PdfDerivs, x):
 def curvature_term(ref: ReferenceDensity, x) -> float | np.ndarray:
     """Squared curvature factor (f(x)/(3 x^2) + f''(x))^2 driving the bias.
 
-    Accepts scalars or arrays with x > 0.
+    Accepts scalars or arrays with x > 0. A value out of the float range, as
+    where x^2 underflows, raises ValueError naming the first such x.
     """
     arr = np.asarray(x, dtype=float)
     if not ((arr > 0.0) & (arr < np.inf)).all():
         raise ValueError("curvature_term requires finite x > 0")
-    out = _curvature(ref.derivs(arr), arr)
+    with np.errstate(all="ignore"):  # a value out of the float range is tested below
+        out = _curvature(ref.derivs(arr), arr)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ValueError(f"curvature term at x={float(arr[bad][0])!r} leaves the float range")
     return float(out) if arr.ndim == 0 else out
 
 
@@ -223,7 +228,7 @@ def mse_leading(ref: ReferenceDensity, x: float, b: float, n: int) -> float:
     """
     variance = variance_leading(ref, x, b, n)
     with np.errstate(all="ignore"):  # a term out of the float range is tested below
-        mse = (b * b / 16.0) * float(curvature_term(ref, x)) + variance
+        mse = (b * b / 16.0) * float(_curvature(ref.derivs(x), x)) + variance
     if not math.isfinite(mse):
         raise ValueError(f"leading MSE at x={x!r}, b={b!r} leaves the float range")
     return mse

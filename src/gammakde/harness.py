@@ -382,20 +382,23 @@ def _replicate(args) -> list:
 
     Returns, per (mode label, bandwidth) pair, the density estimate of the
     run's first replication and the (R, m) derivative estimates of the run,
-    one row per replication in run order. Estimates that fail their checks,
-    as when they overflow, raise DegenerateIntegralError naming the mode.
+    one row per replication in run order. Draws or estimates that fail their
+    checks, as when they overflow, raise DegenerateIntegralError naming the
+    distribution or the mode.
     """
     dist, n, seeds, points, modes = args
-    samples = [sample(dist, n, seed) for seed in seeds]
     out = []
-    for label, b in modes:
-        try:
+    what = f"the draws of {dist.label}"
+    try:
+        samples = [sample(dist, n, seed) for seed in seeds]
+        for label, b in modes:
+            what = f"the estimates of mode {label!r}"
             _, density, derivative = evaluate_batch(samples, b, points)
-        except ValueError as exc:
-            raise numerics.DegenerateIntegralError(
-                f"the estimates of mode {label!r} at n={n} leave the float range: {exc}"
-            ) from exc
-        out.append((density[0], derivative))
+            out.append((density[0], derivative))
+    except ValueError as exc:
+        raise numerics.DegenerateIntegralError(
+            f"{what} at n={n} leave the float range: {exc}"
+        ) from exc
     return out
 
 
@@ -558,11 +561,13 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     """Write report.json plus per-mode curve CSVs; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for label, ev in report.curves.items():
+    doc = report_dict(report)
+    for label, name in doc["curve_files"].items():
+        ev = report.curves[label]
         columns = {"x": ev.grid, "true_derivative": report.true_derivative,
                    "estimate": ev.derivative}
-        write_csv(columns, out / f"curve_{label}.csv")
-    write_json(report_dict(report), out / "report.json")
+        write_csv(columns, out / name)
+    write_json(doc, out / "report.json")
     return out
 
 

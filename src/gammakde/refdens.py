@@ -219,21 +219,23 @@ def sample(params: MaxwellParams | ChiSquareParams, n: int, seed: int) -> Sample
     values = np.empty(n)
     rows = max(1, _CHUNK_NORMALS // width)
     chunk = np.empty((rows, width))
-    for start in range(0, n, rows):
-        out = values[start : start + rows]
-        g = chunk[: out.size]
-        rng.standard_normal(out=g)
-        g *= g
-        if isinstance(params, MaxwellParams):
-            # numpy sums a row of fewer than 8 entries left to right, so adding
-            # the columns gives the bits of g.sum(axis=1) without the reduction.
-            np.add(g[:, 0], g[:, 1], out=out)
-            out += g[:, 2]
-            np.sqrt(out, out=out)
-            out *= params.sigma
-        else:
-            # From 8 entries numpy sums a row pairwise; column additions differ
-            # from that in 31-85% of rows for m = 8..200, so the reduction stays.
-            g.sum(axis=1, out=out)
+    # A draw past the largest float becomes inf, which Sample rejects.
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            out = values[start : start + rows]
+            g = chunk[: out.size]
+            rng.standard_normal(out=g)
+            g *= g
+            if isinstance(params, MaxwellParams):
+                # numpy sums a row of fewer than 8 entries left to right, so adding
+                # the columns gives the bits of g.sum(axis=1) without the reduction.
+                np.add(g[:, 0], g[:, 1], out=out)
+                out += g[:, 2]
+                np.sqrt(out, out=out)
+                out *= params.sigma
+            else:
+                # From 8 entries numpy sums a row pairwise; column additions differ
+                # from that in 31-85% of rows for m = 8..200, so the reduction stays.
+                g.sum(axis=1, out=out)
     del chunk, g  # freed before the checks of Sample allocate their masks
     return Sample(values=values)

@@ -159,6 +159,28 @@ class TestPointwise:
         with pytest.raises(ValueError):
             curvature_term(maxwell, np.array([1.0, 0.0]))
 
+    # Each once returned nan or inf after RuntimeWarnings: x^2 underflows to
+    # 0 (nan, or inf against a nonzero f), or f/(3 x^2) overflows.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "ref, x",
+        [
+            (chi_square_reference(3), 1e-300),
+            (maxwell_reference(1e-200), 1e-200),
+            (maxwell_reference(1.0), 5e-324),
+            (chi_square_reference(3), 1e-120),
+        ],
+        ids=["chi2_3-1e-300", "maxwell_1e-200-1e-200", "maxwell_1-5e-324", "chi2_3-1e-120"],
+    )
+    def test_curvature_term_out_of_float_range(self, ref, x):
+        with pytest.raises(ValueError) as exc_info:
+            curvature_term(ref, x)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value) == f"curvature term at x={x!r} leaves the float range"
+        with pytest.raises(ValueError) as exc_info:
+            curvature_term(ref, np.array([[1.0, 2.0], [x, x]]))
+        assert str(exc_info.value) == f"curvature term at x={x!r} leaves the float range"
+
     def test_mse_leading_frozen(self, maxwell):
         got = mse_leading(maxwell, 1.0, 0.04, 1000)
         assert rel_err(got, 0.0085973905119356264) < 1e-13

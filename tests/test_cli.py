@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gammakde
@@ -53,6 +53,15 @@ CHI3_EXPERIMENT = {
 
 # Maxwell scales whose sigma^5 or sigma^7 leaves the float range.
 EXTREME_SIGMAS = [1e65, 1e200, 1e300]
+
+# So wide that some of its draws, sigma times a unit Maxwell draw, overflow.
+HUGE_SIGMA_EXPERIMENT = {
+    "distribution": {"name": "maxwell", "sigma": 8e307},
+    "n": 200,
+    "seed": 1,
+    "replications": 5,
+    "bandwidth_modes": [{"fixed": 0.1}],
+}
 
 
 def _json_numbers(obj):
@@ -707,14 +716,45 @@ class TestEdgeInputs:
         else:
             assert err.count("\n") == 1 and err.endswith("\n")
 
+    # Draws that overflow: one line naming the distribution and n, no
+    # warning, no files.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, config, label",
+        [
+            ("reproduce", HUGE_SIGMA_EXPERIMENT, "maxwell(sigma=8e+307) at n=200"),
+            ("verify-lemmas", _moments({"name": "maxwell", "sigma": 1.7e308}, [0.5], 0.05, 50, 2),
+             "maxwell(sigma=1.7e+308) at n=50"),
+        ],
+        ids=["reproduce", "verify-lemmas"],
+    )
+    def test_draws_past_the_float_range_fail_in_one_line(
+        self, tmp_path, capsys, command, config, label
+    ):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: the draws of {label} leave the float range: "
+            "sample values must be finite\n"
+        )
+        assert not out.exists()
 
-# Positive floats from 1e-300 to 1e300, spread evenly over the exponents.
-EXTREME = st.builds(
-    lambda mantissa, exponent: min(mantissa * 10.0**exponent, 1e300),
-    st.floats(1.0, 10.0), st.integers(-300, 299),
-) | st.sampled_from([1e-300, 1e300])
-DISTRIBUTION = st.builds(lambda sigma: {"name": "maxwell", "sigma": sigma}, EXTREME) | st.builds(
-    lambda m: {"name": "chi_square", "m": m}, st.integers(3, 200))
+
+def _spread(top: float):
+    """Positive floats from 1e-300 to top, spread evenly over the exponents."""
+    exponents = st.integers(-300, math.ceil(math.log10(top)) - 1)
+    return st.builds(
+        lambda mantissa, exponent: min(mantissa * 10.0**exponent, top),
+        st.floats(1.0, 10.0), exponents,
+    ) | st.sampled_from([1e-300, top])
+
+
+EXTREME = _spread(1e300)
+# A Maxwell scale up to the largest float, where the draws themselves overflow.
+DISTRIBUTION = st.builds(
+    lambda sigma: {"name": "maxwell", "sigma": sigma}, _spread(sys.float_info.max),
+) | st.builds(lambda m: {"name": "chi_square", "m": m}, st.integers(3, 200))
 GRID = st.builds(
     lambda bounds, points: {"min": bounds[0], "max": bounds[1], "points": points},
     st.lists(EXTREME | st.just(0.0), min_size=2, max_size=2, unique=True).map(sorted),
@@ -752,6 +792,7 @@ GRAMMAR_CASES = st.one_of(
 class TestGrammar:
     @settings(max_examples=200, deadline=None)
     @given(GRAMMAR_CASES)
+    @example(("reproduce", ExperimentConfig, HUGE_SIGMA_EXPERIMENT))
     def test_every_valid_config_works_or_fails_in_one_line(self, case):
         """A config that parses round-trips through to_dict. Run through main,
         every config exits 0 with every written number finite or null, or

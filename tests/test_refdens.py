@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,31 @@ def test_views_are_the_fields_of_one_closed_form(params, x):
         assert bits[0] == bits[1] == bits[2]
 
 
+def _curvature_term_in_float_range(x):
+    """curvature_term of Maxwell sigma = 1: finite values for an accepted x,
+    or the float-range error naming its first element whose own value is not
+    finite. A rejected x raises the domain error."""
+    ref = maxwell_reference()
+    try:
+        out = curvature_term(ref, x)
+    except ValueError as exc:
+        named = re.fullmatch(r"curvature term at x=(.+) leaves the float range", str(exc))
+        if named is None:
+            raise
+        values = np.asarray(x, dtype=float).ravel().tolist()
+        firsts = [v for v in values if not _curvature_term_is_finite(ref, v)]
+        assert firsts and named[1] == repr(firsts[0])
+    else:
+        assert np.isfinite(out).all()
+
+
+def _curvature_term_is_finite(ref, v: float) -> bool:
+    try:
+        return math.isfinite(curvature_term(ref, v))
+    except ValueError:
+        return False
+
+
 # Each domain check against the two-reduction form it replaced, with the
 # message it raises.
 _DOMAIN_CHECKS = [
@@ -193,7 +219,7 @@ _DOMAIN_CHECKS = [
         "chi_square_pdf_derivs requires finite x > 0",
     ),
     (
-        lambda x: curvature_term(maxwell_reference(), x),
+        _curvature_term_in_float_range,
         lambda a: np.any(a <= 0.0) or not np.all(np.isfinite(a)),
         "curvature_term requires finite x > 0",
     ),
@@ -214,6 +240,7 @@ _EDGE_VALUES = st.sampled_from(
 @example(x=np.array([]))
 @example(x=np.array(0.0))
 @example(x=np.array([[1.0, -0.0], [2.0, 0.0]]))
+@example(x=np.array([1.0, 5e-324, 1e-320]))
 def test_domain_checks_accept_and_reject_as_before(x):
     for fn, old_rejects, message in _DOMAIN_CHECKS:
         # accepted extremes may overflow inside the formulas; only the check is tested
