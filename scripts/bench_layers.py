@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the estimator core and the four CLI studies on the benchmark's configs; write JSON.
+"""Time start-up, the estimator core and the four CLI studies on the benchmark's configs; write JSON.
 
     PYTHONPATH=src python3 scripts/bench_layers.py --out BENCH.json [--rounds R]
 
@@ -15,6 +15,12 @@ np.exp in place over 2^14 doubles (128 KiB, cache-resident), in ns per
 element, and each core row records its ns per pair over that timing as
 well: a host's speed and its slow phases move both, so the ratio compares
 across files.
+
+Start-up is one fresh interpreter per round that imports gammakde.cli and
+nothing else: the wall time from launch to the end of that import, the
+user and system CPU seconds the process has used by then, and its thread
+count (``Threads:`` in /proc/self/status), which shows whether numpy's BLAS
+started worker threads.
 
 Each study is one fresh interpreter that imports gammakde.cli, writes the
 configs of the benchmark's workloads (``bench/workloads.py``, full size),
@@ -33,9 +39,9 @@ three functions. A study whose exit codes differ from the benchmark's
 expectation (0, or 3 for a known selector defect) stops the script before
 it writes anything.
 
-Each value is the median over --rounds rounds, and every round runs every
-core case and every study once, so slow phases of the host spread over
-all of them. The file also records the commit, the line count of
+Each value is the median over --rounds rounds, and every round runs
+start-up, every core case and every study once, so slow phases of the
+host spread over all of them. The file also records the commit, the line count of
 src/gammakde/*.py (as wc -l counts it), the CPU count and the Python and
 numpy versions. One round takes about 8 seconds on two cores.
 """
@@ -54,10 +60,12 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
+# gammakde before numpy: the package loads numpy with one BLAS thread, so the
+# core rows run in the process state of the CLI's.
 import gammakde as gk
 from gammakde import estimator, harness
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 SEED = 1  # of the study configs and the core's samples
@@ -68,6 +76,13 @@ JOBS = (1, 2)
 SPLIT = ("core", "sampling", "seeding")
 EXP_ELEMENTS = 2**14  # of the reference kernel
 CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import bench_layers; bench_layers.child()"
+STARTUP = (
+    "import resource, time; import gammakde.cli; end = time.monotonic(); "
+    "use = resource.getrusage(resource.RUSAGE_SELF); "
+    "status = open('/proc/self/status').read().split(); "
+    "print(end, use.ru_utime, use.ru_stime, int(status[status.index('Threads:') + 1]))"
+)
+STARTUP_KEYS = ("wall_s", "user_s", "sys_s", "threads")
 
 
 def _usage() -> tuple[int, float]:
@@ -152,6 +167,15 @@ def _exp_ns_per_element() -> float:
     return (time.perf_counter() - start) * 1e9 / (loops * EXP_ELEMENTS)
 
 
+def _startup() -> dict:
+    """Launch-to-import wall time, CPU and thread count of one fresh ``import gammakde.cli``."""
+    start = time.monotonic()  # CLOCK_MONOTONIC, shared with the child
+    proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
+                          check=True)
+    end, user, system, threads = proc.stdout.split()
+    return dict(zip(STARTUP_KEYS, (float(end) - start, float(user), float(system), int(threads))))
+
+
 def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
     spec = {"command": command, "jobs": jobs, "configs": configs, "split": split}
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(spec),
@@ -202,7 +226,9 @@ def main(argv=None) -> int:
     ns = [[] for _ in cores]
     exp_ns = [[] for _ in cores]
     got = {case: [] for case in studies}
+    starts = []
     for _ in range(args.rounds):
+        starts.append(_startup())
         for times, refs, (call, loops, pairs, _) in zip(ns, exp_ns, cores):
             refs.append(_exp_ns_per_element())
             start = time.perf_counter()
@@ -231,12 +257,17 @@ def main(argv=None) -> int:
         for key in ("study_s", "minflt", "sys_s"):
             row.update(_stat(key, [r[key] for r in runs]))
         results.append(row)
+    startup = {"what": ("a fresh interpreter's `import gammakde.cli`: wall seconds from "
+                        "launch, user and system CPU seconds, threads, at the import's end")}
+    for key in STARTUP_KEYS:
+        startup.update(_stat(key, [s[key] for s in starts]))
     split = {key: [r["split_s"][key] for r in got["reproduce", 1]] for key in (*SPLIT, "rest")}
     record = {
-        "what": ("estimator core ns per (observation, grid point) pair, in the measuring "
-                 "process, also over the reference kernel's ns per element; study time, "
-                 "minor page faults and system CPU of the CLI subcommands on the "
-                 "benchmark configs, a fresh process each"),
+        "what": ("start-up of a fresh process importing the CLI; estimator core ns per "
+                 "(observation, grid point) pair, in the measuring process, also over "
+                 "the reference kernel's ns per element; study time, minor page faults "
+                 "and system CPU of the CLI subcommands on the benchmark configs, a "
+                 "fresh process each"),
         "commit": _commit(),
         "src_lines": sum(p.read_bytes().count(b"\n")
                          for p in (HERE.parent / "src" / "gammakde").glob("*.py")),
@@ -250,6 +281,7 @@ def main(argv=None) -> int:
                      "timed before each core case of each round"),
             **_stat("ns_per_element", [e for refs in exp_ns for e in refs]),
         },
+        "startup": startup,
         "estimator": rows,
         "studies": results,
         "reproduce_split_jobs1": {
@@ -259,6 +291,8 @@ def main(argv=None) -> int:
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"src/gammakde {record['src_lines']} lines")
+    print(f"startup {1e3 * startup['wall_s']:.1f} ms wall  {1e3 * startup['user_s']:.1f} ms user  "
+          f"{1e3 * startup['sys_s']:.1f} ms sys  {startup['threads']:.0f} threads")
     print(f"reference kernel {record['reference_kernel']['ns_per_element']:.3f} ns/element")
     for row in rows:
         print(f"n={row['n']:<7} {row['path']:<17} samples={row['samples']:<3} "

@@ -18,7 +18,23 @@ numerics     adaptive quadrature on (0, inf), bisection
 cli          `gammakde` command line front end
 """
 
+import os as _os
+import sys as _sys
 from types import ModuleType as _ModuleType
+
+# numpy's bundled OpenBLAS starts a worker thread per CPU beyond the first
+# when it loads, and on a 2-CPU host that thread spins for about 0.12 s of
+# CPU.  The package's only BLAS calls are tiny, and its parallelism is
+# worker processes, so it loads numpy with one BLAS thread.  OpenBLAS reads
+# the variable once, at load, so it is removed again at once: the caller's
+# environment and later child processes keep what they had.  A caller's own
+# OPENBLAS_NUM_THREADS wins, and so does a numpy the caller imported first.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .asymptotics import (
     BandwidthConstants,

@@ -401,3 +401,63 @@ class TestBatch:
             evaluate_batch([zero], 1e-310, [0.0])
         with pytest.raises(ValueError, match="density values must be finite and >= 0"):
             evaluate_on_grid(zero, 1e-310, [0.0])
+
+
+def _address(arr) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+class TestWorkspace:
+    """The core's workspace starts on a cache line, and no estimate depends on where."""
+
+    @staticmethod
+    def _cases():
+        """(samples, grid): batches of 200 x 21 and 500 x 9 (rows not a multiple of
+        8 doubles) and one sample of 8000 on the default grid; a sample with zeros."""
+        grid = GridSpec().array()
+        cases = [
+            ([draw_sample(MaxwellParams(), n, derived_seed(6, n, r)) for r in range(count)], grid)
+            for n, count in ((200, 21), (500, 9), (8000, 1))
+        ]
+        zeros = draw_sample(MaxwellParams(), 203, 5).values.copy()
+        zeros[[0, 17, 50, 51, 202]] = 0.0
+        return cases + [([Sample(zeros)], np.linspace(0.0, 3.0, 31))]
+
+    def test_starts_on_a_cache_line(self, monkeypatch):
+        seen = []
+
+        def recorded(rows, cols):
+            work = workspace(rows, cols)
+            seen.append((work.shape, _address(work) % 64, work.flags.c_contiguous))
+            return work
+
+        workspace = estimator._workspace
+        monkeypatch.setattr(estimator, "_workspace", recorded)
+        for samples, grid in self._cases():
+            evaluate_batch(samples, 0.1, grid)
+        assert [(shape[1], offset, contiguous) for shape, offset, contiguous in seen] == [
+            (4200, 0, True), (4500, 0, True), (8000, 0, True), (198, 0, True)
+        ]
+        for rows, cols in ((1, 1), (3, 7), (34, 4200)):
+            assert _address(workspace(rows, cols)) % 64 == 0
+
+    def test_estimates_do_not_depend_on_the_offset(self, monkeypatch):
+        # Each 8-byte offset from a cache line's start, 0 to 56 bytes.
+        def at_offset(offset):
+            def workspace(rows, cols):
+                size = rows * cols
+                raw = np.empty(size + 16)
+                skip = -_address(raw) % 64 // 8 + offset // 8
+                work = raw[skip : skip + size].reshape(rows, cols)
+                assert _address(work) % 64 == offset
+                return work
+            return workspace
+
+        for samples, grid in self._cases():
+            want = evaluate_batch(samples, 0.1, grid)
+            for offset in range(0, 64, 8):
+                monkeypatch.setattr(estimator, "_workspace", at_offset(offset))
+                got = evaluate_batch(samples, 0.1, grid)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), offset
+            monkeypatch.undo()
