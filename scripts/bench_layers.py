@@ -18,9 +18,12 @@ across files.
 
 Start-up is one fresh interpreter per round that imports gammakde.cli and
 nothing else: the wall time from launch to the end of that import, the
-user and system CPU seconds the process has used by then, and its thread
+user and system CPU seconds the process has used by then, its thread
 count (``Threads:`` in /proc/self/status), which shows whether numpy's BLAS
-started worker threads.
+started worker threads, its peak resident memory (``VmHWM:``) and the
+number of modules it has loaded. The peak is the process's own: Linux
+carries ``ru_maxrss`` across exec, so that would read at least the RSS of
+this script when it launched the child.
 
 Each study is one fresh interpreter that imports gammakde.cli, writes the
 configs of the benchmark's workloads (``bench/workloads.py``, full size),
@@ -41,9 +44,11 @@ it writes anything.
 
 Each value is the median over --rounds rounds, and every round runs
 start-up, every core case and every study once, so slow phases of the
-host spread over all of them. The file also records the commit, the line count of
-src/gammakde/*.py (as wc -l counts it), the CPU count and the Python and
-numpy versions. One round takes about 8 seconds on two cores.
+host spread over all of them. The file also records the commit of the
+gammakde package measured (the one this script imports, so PYTHONPATH
+selects it) and the line count of its *.py files (as wc -l counts it),
+the CPU count and the Python and numpy versions. One round takes about 8
+seconds on two cores.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from gammakde import estimator, harness
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+PACKAGE = Path(gk.__file__).resolve().parent  # the gammakde measured
 SEED = 1  # of the study configs and the core's samples
 SIZES = (200, 500, 2000, 8000)  # on the default grid; then the moments_pool shape
 # Pairs per timed core call, at least: enough to swamp the clock's resolution.
@@ -77,12 +83,13 @@ SPLIT = ("core", "sampling", "seeding")
 EXP_ELEMENTS = 2**14  # of the reference kernel
 CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import bench_layers; bench_layers.child()"
 STARTUP = (
-    "import resource, time; import gammakde.cli; end = time.monotonic(); "
+    "import resource, sys, time; import gammakde.cli; end = time.monotonic(); "
     "use = resource.getrusage(resource.RUSAGE_SELF); "
     "status = open('/proc/self/status').read().split(); "
-    "print(end, use.ru_utime, use.ru_stime, int(status[status.index('Threads:') + 1]))"
+    "print(end, use.ru_utime, use.ru_stime, int(status[status.index('Threads:') + 1]), "
+    "int(status[status.index('VmHWM:') + 1]) / 1024, len(sys.modules))"
 )
-STARTUP_KEYS = ("wall_s", "user_s", "sys_s", "threads")
+STARTUP_KEYS = ("wall_s", "user_s", "sys_s", "threads", "vmhwm_mb", "modules")
 
 
 def _usage() -> tuple[int, float]:
@@ -168,12 +175,13 @@ def _exp_ns_per_element() -> float:
 
 
 def _startup() -> dict:
-    """Launch-to-import wall time, CPU and thread count of one fresh ``import gammakde.cli``."""
+    """One fresh ``import gammakde.cli``: wall time from launch, CPU, threads, peak RSS, modules."""
     start = time.monotonic()  # CLOCK_MONOTONIC, shared with the child
     proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
                           check=True)
-    end, user, system, threads = proc.stdout.split()
-    return dict(zip(STARTUP_KEYS, (float(end) - start, float(user), float(system), int(threads))))
+    end, user, system, threads, vmhwm, modules = proc.stdout.split()
+    return dict(zip(STARTUP_KEYS, (float(end) - start, float(user), float(system),
+                                   int(threads), float(vmhwm), int(modules))))
 
 
 def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
@@ -199,7 +207,7 @@ def _commit() -> str | None:
     try:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=HERE, capture_output=True, text=True, check=True,
+            cwd=PACKAGE, capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
@@ -258,7 +266,8 @@ def main(argv=None) -> int:
             row.update(_stat(key, [r[key] for r in runs]))
         results.append(row)
     startup = {"what": ("a fresh interpreter's `import gammakde.cli`: wall seconds from "
-                        "launch, user and system CPU seconds, threads, at the import's end")}
+                        "launch, user and system CPU seconds, threads, peak RSS in MB "
+                        "(VmHWM) and modules in sys.modules, at the import's end")}
     for key in STARTUP_KEYS:
         startup.update(_stat(key, [s[key] for s in starts]))
     split = {key: [r["split_s"][key] for r in got["reproduce", 1]] for key in (*SPLIT, "rest")}
@@ -269,8 +278,7 @@ def main(argv=None) -> int:
                  "and system CPU of the CLI subcommands on the benchmark configs, a "
                  "fresh process each"),
         "commit": _commit(),
-        "src_lines": sum(p.read_bytes().count(b"\n")
-                         for p in (HERE.parent / "src" / "gammakde").glob("*.py")),
+        "src_lines": sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py")),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -290,9 +298,10 @@ def main(argv=None) -> int:
         },
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"src/gammakde {record['src_lines']} lines")
+    print(f"{PACKAGE} {record['src_lines']} lines")
     print(f"startup {1e3 * startup['wall_s']:.1f} ms wall  {1e3 * startup['user_s']:.1f} ms user  "
-          f"{1e3 * startup['sys_s']:.1f} ms sys  {startup['threads']:.0f} threads")
+          f"{1e3 * startup['sys_s']:.1f} ms sys  {startup['threads']:.0f} threads  "
+          f"{startup['vmhwm_mb']:.2f} MB peak  {startup['modules']:.0f} modules")
     print(f"reference kernel {record['reference_kernel']['ns_per_element']:.3f} ns/element")
     for row in rows:
         print(f"n={row['n']:<7} {row['path']:<17} samples={row['samples']:<3} "

