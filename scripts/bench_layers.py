@@ -25,13 +25,19 @@ number of modules it has loaded. The peak is the process's own: Linux
 carries ``ru_maxrss`` across exec, so that would read at least the RSS of
 this script when it launched the child.
 
-Each study is one fresh interpreter that imports gammakde.cli, writes the
-configs of the benchmark's workloads (``bench/workloads.py``, full size),
-then times its ``gammakde.cli.main`` calls: the numbers and the output
-files as a user's process pays for them, lazy imports and cold caches
-included, without interpreter start or the package import. Around the
-calls, ``getrusage`` of the process and of its reaped children (the pool's
-workers) gives the minor page faults and the system CPU time. The four
+Each study is one fresh interpreter that imports gammakde.cli, then times
+its ``gammakde.cli.main`` calls on the configs of the benchmark's
+workloads (``bench/workloads.py``, full size), which this script writes
+into a fresh directory: the numbers and the output files as a user's
+process pays for them, lazy imports and cold caches included, without
+interpreter start or the package import. The child imports this module,
+so the modules only this script needs (``subprocess``, ``tempfile``,
+``statistics``) are imported inside the functions that run here, and the
+child refuses to time once ``subprocess`` or ``locale`` is loaded: it
+would leave their import out of a study that makes it. Around the calls,
+``getrusage`` of the process and of its reaped children (the pool's
+workers) gives the minor page faults and the system CPU time, and after
+them the child reads its own peak RSS (``VmHWM``). The four
 commands are reproduce (mc_small_n), converge (mc_large_n), verify-lemmas
 (moments_pool) and bandwidths (the 16 selectors_sweep inputs in one
 process), each at --jobs 1 and --jobs 2. At --jobs 1 the reproduce study
@@ -59,9 +65,7 @@ import json
 import os
 import platform
 import resource
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -90,6 +94,8 @@ STARTUP = (
     "int(status[status.index('VmHWM:') + 1]) / 1024, len(sys.modules))"
 )
 STARTUP_KEYS = ("wall_s", "user_s", "sys_s", "threads", "vmhwm_mb", "modules")
+# Modules a study may import itself, so none may be loaded before it is timed.
+UNLOADED = ("subprocess", "locale")
 
 
 def _usage() -> tuple[int, float]:
@@ -98,11 +104,21 @@ def _usage() -> tuple[int, float]:
     return sum(u.ru_minflt for u in both), sum(u.ru_stime for u in both)
 
 
+def _run(argv: list, **kwargs):
+    """subprocess.run capturing text output; subprocess is imported here, not in the child."""
+    import subprocess
+
+    return subprocess.run(argv, capture_output=True, text=True, **kwargs)
+
+
 def child() -> None:
     """One fresh-process study: time the CLI calls of the spec on stdin, print JSON."""
     import gammakde.cli
 
     spec = json.load(sys.stdin)
+    loaded = [name for name in UNLOADED if name in sys.modules]
+    if loaded:
+        raise SystemExit(f"the study child loaded {loaded} before timing")
     spent = dict.fromkeys(SPLIT, 0.0)
 
     def timed(key, fn):
@@ -118,20 +134,17 @@ def child() -> None:
         estimator._core = timed("core", estimator._core)
         harness.sample = timed("sampling", harness.sample)
         harness.derived_seed = timed("seeding", harness.derived_seed)
-    with tempfile.TemporaryDirectory() as work, open(os.devnull, "w") as devnull:
-        argvs = []
-        for k, cfg in enumerate(spec["configs"]):
-            path = Path(work) / f"config{k}.json"
-            path.write_text(json.dumps(cfg), encoding="utf-8")
-            argvs.append([spec["command"], "--config", str(path), "--out",
-                          str(Path(work) / "out"), "--jobs", str(spec["jobs"])])
-        with contextlib.redirect_stdout(devnull):  # the CLI's own summary lines
-            usage = _usage()
-            start = time.perf_counter()
-            codes = [gammakde.cli.main(argv) for argv in argvs]
-            study = time.perf_counter() - start
-            minflt, sys_s = (after - before for after, before in zip(_usage(), usage))
-    result = {"study_s": study, "exit_codes": codes, "minflt": minflt, "sys_s": sys_s}
+    # The CLI's own summary lines go to devnull.
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        usage = _usage()
+        start = time.perf_counter()
+        codes = [gammakde.cli.main(argv) for argv in spec["argvs"]]
+        study = time.perf_counter() - start
+        minflt, sys_s = (after - before for after, before in zip(_usage(), usage))
+    status = Path("/proc/self/status").read_text().split()
+    vmhwm = int(status[status.index("VmHWM:") + 1]) / 1024
+    result = {"study_s": study, "exit_codes": codes, "minflt": minflt, "sys_s": sys_s,
+              "vmhwm_mb": vmhwm}
     if spec["split"]:
         result["split_s"] = {**spent, "rest": study - sum(spent.values())}
     print(json.dumps(result))
@@ -177,17 +190,27 @@ def _exp_ns_per_element() -> float:
 def _startup() -> dict:
     """One fresh ``import gammakde.cli``: wall time from launch, CPU, threads, peak RSS, modules."""
     start = time.monotonic()  # CLOCK_MONOTONIC, shared with the child
-    proc = subprocess.run([sys.executable, "-c", STARTUP], capture_output=True, text=True,
-                          check=True)
+    proc = _run([sys.executable, "-c", STARTUP], check=True)
     end, user, system, threads, vmhwm, modules = proc.stdout.split()
     return dict(zip(STARTUP_KEYS, (float(end) - start, float(user), float(system),
                                    int(threads), float(vmhwm), int(modules))))
 
 
 def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
-    spec = {"command": command, "jobs": jobs, "configs": configs, "split": split}
-    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(spec),
-                          capture_output=True, text=True, check=True)
+    """One study in a fresh child, on configs written into a fresh directory."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        argvs = []
+        for k, cfg in enumerate(configs):
+            path = Path(work) / f"config{k}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            argvs.append([command, "--config", str(path), "--out", str(Path(work) / "out"),
+                          "--jobs", str(jobs)])
+        spec = {"argvs": argvs, "split": split}
+        proc = _run([sys.executable, "-c", CHILD], input=json.dumps(spec))
+    if proc.returncode:
+        raise SystemExit(f"{command} --jobs {jobs}: the study child failed\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -205,12 +228,10 @@ def _stat(name: str, values: list) -> dict:
 
 def _commit() -> str | None:
     try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=PACKAGE, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
+        proc = _run(["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=PACKAGE)
+    except OSError:
         return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -262,7 +283,7 @@ def main(argv=None) -> int:
         runs = got[command, jobs]
         row = {"command": command, "jobs": jobs, "calls": len(ops[command]),
                "exit_codes": runs[-1]["exit_codes"]}
-        for key in ("study_s", "minflt", "sys_s"):
+        for key in ("study_s", "minflt", "sys_s", "vmhwm_mb"):
             row.update(_stat(key, [r[key] for r in runs]))
         results.append(row)
     startup = {"what": ("a fresh interpreter's `import gammakde.cli`: wall seconds from "
@@ -274,9 +295,9 @@ def main(argv=None) -> int:
     record = {
         "what": ("start-up of a fresh process importing the CLI; estimator core ns per "
                  "(observation, grid point) pair, in the measuring process, also over "
-                 "the reference kernel's ns per element; study time, minor page faults "
-                 "and system CPU of the CLI subcommands on the benchmark configs, a "
-                 "fresh process each"),
+                 "the reference kernel's ns per element; study time, minor page faults, "
+                 "system CPU and the process's own peak RSS in MB (VmHWM) of the CLI "
+                 "subcommands on the benchmark configs, a fresh process each"),
         "commit": _commit(),
         "src_lines": sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py")),
         "cpu_count": os.cpu_count(),
@@ -308,7 +329,8 @@ def main(argv=None) -> int:
               f"{row['ns_per_pair']:.2f} ns/pair  {row['ns_per_pair_over_exp']:.2f} x exp")
     for row in results:
         print(f"{row['command']:<14} jobs={row['jobs']}  {1e3 * row['study_s']:8.1f} ms  "
-              f"{row['minflt']:8.0f} minor faults  {1e3 * row['sys_s']:7.1f} ms sys")
+              f"{row['minflt']:8.0f} minor faults  {1e3 * row['sys_s']:7.1f} ms sys  "
+              f"{row['vmhwm_mb']:6.2f} MB peak")
     for key, value in record["reproduce_split_jobs1"].items():
         print(f"reproduce jobs=1 {key:<9} {1e3 * value['median_s']:8.1f} ms")
     return 0

@@ -26,8 +26,10 @@ json, but not the process pool: the first study that starts a pool (--jobs
 subprocess among some 30 modules, before it forks. The argument parser
 is built once per process, on the first main() call, and each call after
 that only parses. The exact selector sums of a family are computed once per
-process too (see `asymptotics`), so repeated calls in one process pay for
-their numbers and their output files only.
+process too (see `asymptotics`), and the estimator core keeps one workspace
+buffer per thread (see `estimator`), so repeated calls in one process pay
+for their numbers and their output files only. No command calls LAPACK:
+converge fits its rate line in closed form.
 """
 
 from __future__ import annotations

@@ -15,15 +15,18 @@ K ln(t/b) less digamma(rho) times the density sum. The block holds 2^17
 entries (1 MiB), so its passes run from cache, except that a row is never
 split, so above 2^17 observations a block is one row.
 
-Memory: a call allocates its results and one workspace, whose rows are
-ln t, t/b, ln(t/b) and the kernel block, all filled by ufuncs in place; a
-sample with no zeros is read where it is, not copied. At the verify-lemmas
-shape (n = 1e5, three points) that is four sample-length rows. One large
-block also keeps glibc from returning the heap to the system between
-calls: it trims the heap only when more than twice the largest block it
-has freed lies free at the top, and a replication's live set (its sample
-and this workspace) stays below that. With ten separate temporaries,
-every n = 1e5 replication faulted about 1,300 pages in again.
+Memory: a call allocates its results and takes one workspace, whose rows
+are ln t, t/b, ln(t/b) and the kernel block, all filled by ufuncs in
+place; a sample with no zeros is read where it is, not copied. Each thread
+keeps one workspace buffer between calls. It grows to the largest request
+and is kept while it holds at most 2 * _BLOCK_ENTRIES doubles (2 MiB),
+which covers every blocked workspace up to about 43,000 positive
+observations. A larger request, such as the verify-lemmas shape (n = 1e5,
+three points: four sample-length rows), gets a workspace of its own for
+the call, and the kept buffer stays as it was. So a study on a ladder of
+sizes holds one buffer; with a workspace per call, glibc kept the heap
+that the smaller sizes grew and mapped fresh workspaces for the larger
+ones beside it.
 
 evaluate_batch puts several samples of one size side by side: a row of K
 holds every sample's observations, each sample in its own contiguous
@@ -36,6 +39,7 @@ have from evaluate_on_grid.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +64,10 @@ _BLOCK_ENTRIES = 2**17
 _PLAN_MEMO_SIZE = 8
 # Byte boundary the workspace starts on: a cache line, and an AVX-512 vector.
 _ALIGN = 64
+# Doubles of the workspace buffer a thread keeps between calls.
+_KEEP_ENTRIES = 2 * _BLOCK_ENTRIES
+# The kept buffer of each thread, as `_kept.work`.
+_kept = threading.local()
 
 
 @dataclass(frozen=True)
@@ -101,16 +109,31 @@ class GridEvaluation:
     bandwidth: float
 
 
-def _workspace(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized (rows, cols) float64 array starting on an _ALIGN-byte boundary.
+def _aligned(size: int) -> np.ndarray:
+    """An uninitialized float64 vector of size elements starting on an _ALIGN-byte boundary.
 
     glibc's malloc returns blocks 16, 32 or 48 bytes past a cache line's
     start, and there the core ran 6-10% slower in an interleaved sweep.
     """
-    size = rows * cols
     raw = np.empty(size + _ALIGN // 8)
     skip = -raw.__array_interface__["data"][0] % _ALIGN // 8
-    return raw[skip : skip + size].reshape(rows, cols)
+    return raw[skip : skip + size]
+
+
+def _workspace(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized, aligned (rows, cols) float64 array, valid until the thread's next call.
+
+    Up to _KEEP_ENTRIES doubles it is a view of the thread's kept buffer,
+    which grows to the largest such request; a larger one is allocated
+    for the call alone.
+    """
+    size = rows * cols
+    if size > _KEEP_ENTRIES:
+        return _aligned(size).reshape(rows, cols)
+    work = getattr(_kept, "work", None)
+    if work is None or work.size < size:
+        _kept.work = work = _aligned(size)
+    return work[:size].reshape(rows, cols)
 
 
 @lru_cache(maxsize=_PLAN_MEMO_SIZE)

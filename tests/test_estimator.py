@@ -1,6 +1,8 @@
 """Sample container, pointwise and grid estimates, the kernel plan memo."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -461,3 +463,74 @@ class TestWorkspace:
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes(), offset
             monkeypatch.undo()
+
+
+class TestKeptWorkspace:
+    """Each thread keeps one workspace buffer up to _KEEP_ENTRIES doubles."""
+
+    def test_threads_get_the_serial_bits(self):
+        cases = TestWorkspace._cases()
+        want = [evaluate_batch(samples, 0.1, grid) for samples, grid in cases]
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def run(k):
+            start.wait()
+            # Each thread takes the cases in its own order, so buffers grow
+            # and are reused at different times in each.
+            order = [(k + j) % len(cases) for j in range(len(cases))] * 3
+            got[k] = [(i, evaluate_batch(cases[i][0], 0.1, cases[i][1])) for i in order]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results in got:
+            assert len(results) == 3 * len(cases)
+            for i, arrays in results:
+                for a, b in zip(arrays, want[i]):
+                    assert a.tobytes() == b.tobytes(), i
+
+    def test_calls_of_one_shape_share_a_buffer(self, monkeypatch):
+        seen = []
+
+        def recorded(rows, cols):
+            work = workspace(rows, cols)
+            seen.append(work)
+            return work
+
+        workspace = estimator._workspace
+        monkeypatch.setattr(estimator, "_workspace", recorded)
+        samples, grid = TestWorkspace._cases()[0]
+        evaluate_batch(samples, 0.1, grid)
+        evaluate_batch(samples, 0.1, grid)
+        first, second = seen
+        assert _address(first) == _address(second)
+        assert first.base is second.base is estimator._kept.work.base
+
+    def test_a_call_above_the_limit_leaves_the_kept_buffer(self, monkeypatch):
+        samples, grid = TestWorkspace._cases()[0]
+        evaluate_batch(samples, 0.1, grid)
+        kept = estimator._kept.work
+        seen = []
+
+        def recorded(rows, cols):
+            work = workspace(rows, cols)
+            seen.append(work)
+            return work
+
+        workspace = estimator._workspace
+        monkeypatch.setattr(estimator, "_workspace", recorded)
+        s = draw_sample(MaxwellParams(), 100_000, 4)
+        evaluate_batch([s], 0.05, [0.5, 1.0, 2.0])
+        [work] = seen
+        assert work.size > estimator._KEEP_ENTRIES
+        assert not np.shares_memory(work, kept)
+        assert estimator._kept.work is kept

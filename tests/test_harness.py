@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gammakde import asymptotics, harness
 from gammakde.asymptotics import SELECTORS
@@ -625,6 +628,70 @@ class TestConvergence:
             return max(slopes) - min(slopes)
 
         assert spread(8) < spread(2)
+
+
+class TestRateFit:
+    """The closed-form log-log line is the least-squares line of np.polyfit, without LAPACK.
+
+    Tolerances are relative to the largest slope the data can carry,
+    max|ln mise| / std(ln n), which bounds |slope| and keeps a flat ladder's
+    near-zero slope from asking for bits no fit has.
+    """
+
+    LADDERS = st.lists(
+        st.tuples(
+            st.integers(1, 100_000),
+            st.floats(1e-12, 1e3, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=4,
+        max_size=10,
+        unique_by=lambda point: point[0],
+    )
+
+    @staticmethod
+    def _fit(points):
+        """(ln n, ln mise, closed-form slope and intercept, slope scale) of the points."""
+        n_list = [n for n, _ in points]
+        mise = np.array([m for _, m in points])
+        x, y = np.log(np.array(n_list, dtype=float)), np.log(mise)
+        return x, y, harness._log_log_fit(n_list, mise), np.abs(y).max() / x.std()
+
+    @settings(max_examples=200, deadline=None)
+    @given(LADDERS)
+    # Sizes a few apart, where a fit from uncentred moments loses six digits.
+    @example([(30317, 8.6e-09), (30325, 0.18), (30318, 1.6e-08), (30320, 1.9e-05)])
+    def test_is_the_exact_least_squares_line(self, points):
+        # The least-squares line of the rounded logs, in rational arithmetic.
+        x, y, (slope, intercept), scale = self._fit(points)
+        xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        exact = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sum((a - mx) ** 2 for a in xs)
+        assert abs(Fraction(slope) - exact) <= Fraction(1e-12) * Fraction(scale)
+        assert abs(Fraction(intercept) - (my - exact * mx)) <= Fraction(1e-12) * Fraction(
+            scale * x.mean())
+
+    @settings(max_examples=200, deadline=None)
+    @given(LADDERS.filter(lambda points: max(points)[0] >= 2 * min(points)[0]))
+    @example([(200, 0.05), (400, 0.05), (800, 0.05), (1600, 0.05)])  # a flat ladder
+    def test_matches_polyfit(self, points):
+        # polyfit solves the uncentred system, whose rounding error grows as
+        # mean(ln n) / std(ln n): on a ladder of sizes within 10 of 30,000 it
+        # moves the slope by up to 5e-11 of the scale, while the closed form
+        # stays within 3e-16 of the exact line. The default, golden and
+        # benchmark ladders span factors of 16, 8 and 16.
+        x, y, (slope, intercept), scale = self._fit(points)
+        want_slope, want_intercept = np.polyfit(x, y, 1)
+        assert abs(slope - want_slope) <= 1e-12 * scale
+        assert abs(intercept - want_intercept) <= 1e-12 * scale * x.mean()
+
+    def test_study_makes_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK least squares called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        res = convergence_study(ConvergenceConfig(seed=1000, **TestConvergence.CFG))
+        assert res.slope < -0.1
 
 
 class TestMomentCheck:
