@@ -40,7 +40,19 @@ workers) gives the minor page faults and the system CPU time, and after
 them the child reads its own peak RSS (``VmHWM``). The four
 commands are reproduce (mc_small_n), converge (mc_large_n), verify-lemmas
 (moments_pool) and bandwidths (the 16 selectors_sweep inputs in one
-process), each at --jobs 1 and --jobs 2. At --jobs 1 the reproduce study
+process), each at --jobs 1 and --jobs 2.
+
+Two study fields are deterministic, so any two runs of one tree agree on
+them, as they do not on the timings and ``VmHWM``: ``traced_peak_b``, the
+``tracemalloc`` peak of one extra child per study that starts tracing
+right before its ``gammakde.cli.main`` calls (the bytes the process itself
+allocates; tracing slows allocation, so that child is not timed, and at
+--jobs 2 it leaves out the pool's workers), and ``pairs``, the (observation,
+grid point) pairs its estimator evaluates, computed from its configs:
+replications x n x grid points x modes for reproduce (counting every mode,
+as if each selector finds its bandwidth), replications x the sum of the
+ladder's n x grid points for converge, replications x n x points for
+verify-lemmas, and none for bandwidths. At --jobs 1 the reproduce study
 is also split into the estimator core (``estimator._core``), sampling
 (``refdens.sample``), seeding (``refdens.derived_seed``, which holds
 numpy.random's lazy import) and the rest, by timing wrappers around those
@@ -112,7 +124,8 @@ def _run(argv: list, **kwargs):
 
 
 def child() -> None:
-    """One fresh-process study: time the CLI calls of the spec on stdin, print JSON."""
+    """One fresh-process study: time the CLI calls of the spec on stdin (or, with
+    "trace", take their tracemalloc peak instead), print JSON."""
     import gammakde.cli
 
     spec = json.load(sys.stdin)
@@ -134,6 +147,10 @@ def child() -> None:
         estimator._core = timed("core", estimator._core)
         harness.sample = timed("sampling", harness.sample)
         harness.derived_seed = timed("seeding", harness.derived_seed)
+    if spec["trace"]:
+        import tracemalloc
+
+        tracemalloc.start()
     # The CLI's own summary lines go to devnull.
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         usage = _usage()
@@ -141,6 +158,9 @@ def child() -> None:
         codes = [gammakde.cli.main(argv) for argv in spec["argvs"]]
         study = time.perf_counter() - start
         minflt, sys_s = (after - before for after, before in zip(_usage(), usage))
+    if spec["trace"]:
+        print(json.dumps({"exit_codes": codes, "traced_peak_b": tracemalloc.get_traced_memory()[1]}))
+        return
     status = Path("/proc/self/status").read_text().split()
     vmhwm = int(status[status.index("VmHWM:") + 1]) / 1024
     result = {"study_s": study, "exit_codes": codes, "minflt": minflt, "sys_s": sys_s,
@@ -175,6 +195,20 @@ def _core_cases(moments: dict) -> list:
     return cases
 
 
+def _pairs(command: str, config: dict) -> int:
+    """The (observation, grid point) pairs a study's estimator evaluates, from its config."""
+    if command == "reproduce":
+        cfg = harness.ExperimentConfig.from_dict(config)
+        return cfg.replications * cfg.n * cfg.grid.points * len(cfg.bandwidth_modes)
+    if command == "converge":
+        cfg = harness.ConvergenceConfig.from_dict(config)
+        return cfg.replications * sum(cfg.n_list) * cfg.grid.points
+    if command == "verify-lemmas":
+        cfg = harness.MomentCheckConfig.from_dict(config)
+        return cfg.replications * cfg.n * len(cfg.x_list)
+    return 0  # bandwidths runs no estimator
+
+
 def _exp_ns_per_element() -> float:
     """One timing of the reference kernel: np.exp over EXP_ELEMENTS doubles, in place."""
     x = np.linspace(-4.0, 0.0, EXP_ELEMENTS)
@@ -196,7 +230,7 @@ def _startup() -> dict:
                                    int(threads), float(vmhwm), int(modules))))
 
 
-def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
+def _measure(command: str, jobs: int, configs: list, split: bool, trace: bool = False) -> dict:
     """One study in a fresh child, on configs written into a fresh directory."""
     import tempfile
 
@@ -207,7 +241,7 @@ def _measure(command: str, jobs: int, configs: list, split: bool) -> dict:
             path.write_text(json.dumps(cfg), encoding="utf-8")
             argvs.append([command, "--config", str(path), "--out", str(Path(work) / "out"),
                           "--jobs", str(jobs)])
-        spec = {"argvs": argvs, "split": split}
+        spec = {"argvs": argvs, "split": split, "trace": trace}
         proc = _run([sys.executable, "-c", CHILD], input=json.dumps(spec))
     if proc.returncode:
         raise SystemExit(f"{command} --jobs {jobs}: the study child failed\n{proc.stderr}")
@@ -252,6 +286,18 @@ def main(argv=None) -> int:
     cores = _core_cases(ops["verify-lemmas"][0].config)
     studies = [(command, jobs) for command in ops for jobs in JOBS]
 
+    def expected(command):
+        return [3 if op.expect_error else 0 for op in ops[command]]
+
+    def measured(command, jobs, **kwargs):
+        result = _measure(command, jobs, [op.config for op in ops[command]], **kwargs)
+        if result["exit_codes"] != expected(command):
+            parser.exit(1, f"{command} --jobs {jobs} exited {result['exit_codes']}, "
+                           f"the benchmark expects {expected(command)}; {args.out} not written\n")
+        return result
+
+    traced = {(command, jobs): measured(command, jobs, split=False, trace=True)["traced_peak_b"]
+              for command, jobs in studies}
     ns = [[] for _ in cores]
     exp_ns = [[] for _ in cores]
     got = {case: [] for case in studies}
@@ -265,13 +311,8 @@ def main(argv=None) -> int:
                 call()
             times.append((time.perf_counter() - start) * 1e9 / (loops * pairs))
         for command, jobs in studies:
-            expected = [3 if op.expect_error else 0 for op in ops[command]]
-            result = _measure(command, jobs, [op.config for op in ops[command]],
-                              command == "reproduce" and jobs == 1)
-            if result["exit_codes"] != expected:
-                parser.exit(1, f"{command} --jobs {jobs} exited {result['exit_codes']}, "
-                               f"the benchmark expects {expected}; {args.out} not written\n")
-            got[command, jobs].append(result)
+            got[command, jobs].append(
+                measured(command, jobs, split=command == "reproduce" and jobs == 1))
 
     rows = [
         {**fields, **_stat("ns_per_pair", times),
@@ -282,7 +323,9 @@ def main(argv=None) -> int:
     for command, jobs in studies:
         runs = got[command, jobs]
         row = {"command": command, "jobs": jobs, "calls": len(ops[command]),
-               "exit_codes": runs[-1]["exit_codes"]}
+               "exit_codes": runs[-1]["exit_codes"],
+               "pairs": sum(_pairs(command, op.config) for op in ops[command]),
+               "traced_peak_b": traced[command, jobs]}
         for key in ("study_s", "minflt", "sys_s", "vmhwm_mb"):
             row.update(_stat(key, [r[key] for r in runs]))
         results.append(row)
@@ -297,7 +340,9 @@ def main(argv=None) -> int:
                  "(observation, grid point) pair, in the measuring process, also over "
                  "the reference kernel's ns per element; study time, minor page faults, "
                  "system CPU and the process's own peak RSS in MB (VmHWM) of the CLI "
-                 "subcommands on the benchmark configs, a fresh process each"),
+                 "subcommands on the benchmark configs, a fresh process each, with the "
+                 "estimator pairs computed from the configs and the tracemalloc peak "
+                 "in bytes of one more fresh process per study"),
         "commit": _commit(),
         "src_lines": sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py")),
         "cpu_count": os.cpu_count(),
@@ -330,7 +375,8 @@ def main(argv=None) -> int:
     for row in results:
         print(f"{row['command']:<14} jobs={row['jobs']}  {1e3 * row['study_s']:8.1f} ms  "
               f"{row['minflt']:8.0f} minor faults  {1e3 * row['sys_s']:7.1f} ms sys  "
-              f"{row['vmhwm_mb']:6.2f} MB peak")
+              f"{row['vmhwm_mb']:6.2f} MB peak  {row['traced_peak_b']:>10,} B traced  "
+              f"{row['pairs']:>12,} pairs")
     for key, value in record["reproduce_split_jobs1"].items():
         print(f"reproduce jobs=1 {key:<9} {1e3 * value['median_s']:8.1f} ms")
     return 0

@@ -8,25 +8,27 @@ computation in log space.
 
 A kernels.KernelPlan holds the per-point constants as arrays. It depends
 only on (points, b), which Monte Carlo replications repeat, so plans come
-from a small memo keyed on the points' bytes and b. The kernel matrix K is
-then filled block by block, with one exp per (observation, grid point)
-pair: the density is the row sum of K, and the derivative the row sum of
-K ln(t/b) less digamma(rho) times the density sum. The block holds 2^17
-entries (1 MiB), so its passes run from cache, except that a row is never
-split, so above 2^17 observations a block is one row.
+from a small memo keyed on the points' bytes and b. The matrix of b K, a
+function of u = t/b alone, is then filled block by block, with one exp per
+(observation, grid point) pair: the density is its row sum, and the
+derivative the row sum of b K ln u less digamma(rho) times the density
+sum, each divided by n and by b at the end, so that scaling the sample,
+the points and b by a power of 2 scales each estimate exactly. The block
+holds 2^17 entries (1 MiB), so its passes run from cache, except that a
+row is never split, so above 2^17 observations a block is one row.
 
 Memory: a call allocates its results and takes one workspace, whose rows
-are ln t, t/b, ln(t/b) and the kernel block, all filled by ufuncs in
-place; a sample with no zeros is read where it is, not copied. Each thread
-keeps one workspace buffer between calls. It grows to the largest request
-and is kept while it holds at most 2 * _BLOCK_ENTRIES doubles (2 MiB),
-which covers every blocked workspace up to about 43,000 positive
-observations. A larger request, such as the verify-lemmas shape (n = 1e5,
-three points: four sample-length rows), gets a workspace of its own for
-the call, and the kept buffer stays as it was. So a study on a ladder of
-sizes holds one buffer; with a workspace per call, glibc kept the heap
-that the smaller sizes grew and mapped fresh workspaces for the larger
-ones beside it.
+are u, ln u and the kernel block, all filled by ufuncs in place; a sample
+with no zeros is read where it is, not copied. Each thread keeps one
+workspace buffer between calls. It grows to the largest request (the
+smaller buffer is freed first) and is kept while it holds at most
+2 * _BLOCK_ENTRIES doubles (2 MiB), which covers every blocked workspace
+up to about 43,000 positive observations. A larger request, such as the
+verify-lemmas shape (n = 1e5, three points: three sample-length rows),
+gets a workspace of its own for the call, and the kept buffer stays as it
+was. So a study on a ladder of sizes holds one buffer; with a workspace
+per call, glibc kept the heap that the smaller sizes grew and mapped
+fresh workspaces for the larger ones beside it.
 
 evaluate_batch puts several samples of one size side by side: a row of K
 holds every sample's observations, each sample in its own contiguous
@@ -132,6 +134,7 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
         return _aligned(size).reshape(rows, cols)
     work = getattr(_kept, "work", None)
     if work is None or work.size < size:
+        _kept.work = work = None  # freed first: the two are never held at once
         _kept.work = work = _aligned(size)
     return work[:size].reshape(rows, cols)
 
@@ -164,34 +167,34 @@ def _core(samples: list, xs: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarr
     m = plan.xs.size
     density = np.empty((count, m))
     derivative = np.empty((count, m))
-    # Block over the grid to bound memory. One workspace holds the three
+    # Block over the grid to bound memory. One workspace holds the two
     # observation rows and the kernel block, which every grid block reuses.
     block = max(1, min(m, _BLOCK_ENTRIES // max(n_pos, 1)))
-    work = _workspace(3 + block, n_pos)
-    log_t, t_over_b, log_t_over_b = work[:3]
-    buffer = work[3:]
-    np.log(vp, out=log_t)
-    np.divide(vp, plan.b, out=t_over_b)
-    np.log(t_over_b, out=log_t_over_b)
+    work = _workspace(2 + block, n_pos)
+    u, log_u = work[:2]
+    buffer = work[2:]
+    np.divide(vp, plan.b, out=u)
+    np.log(u, out=log_u)
     for start in range(0, m, block):
         rows = slice(start, min(start + block, m))
-        kern = plan.fill_kernel(rows, log_t, t_over_b, buffer[: rows.stop - start])
+        kern = plan.fill_kernel(rows, log_u, u, buffer[: rows.stop - start])
         # Row sums per segment, not a matrix product: each sum must not
         # depend on how many rows or samples share the block.
         segments = kern.reshape(rows.stop - start, count, k)
         dens_sum = segments.sum(axis=2)
         old = np.setbufsize(UNBUFFERED)
         try:
-            kern *= log_t_over_b
+            kern *= log_u
         finally:
             np.setbufsize(old)
         deriv_sum = segments.sum(axis=2) - plan.psi[rows, None] * dens_sum
         if n_zero:
-            # t = 0 contributes to the density only through the rho = 1
-            # kernel (the x = 0 exponential); its derivative limit is 0.
-            dens_sum += np.where(plan.rho[rows] == 1.0, n_zero / plan.b, 0.0)[:, None]
-        density[:, rows] = (dens_sum / n).T
-        derivative[:, rows] = (plan.prefactor[rows, None] * deriv_sum / n).T
+            # t = 0 adds to the density only through the rho = 1 kernel (the
+            # x = 0 exponential, where b K = 1); its derivative limit is 0.
+            dens_sum += np.where(plan.rho[rows] == 1.0, n_zero, 0.0)[:, None]
+        # Divided by n, then by b, so that a tiny b overflows no intermediate.
+        density[:, rows] = (dens_sum / n / plan.b).T
+        derivative[:, rows] = (plan.prefactor[rows, None] * deriv_sum / n / plan.b / plan.b).T
     return density, derivative
 
 

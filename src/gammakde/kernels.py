@@ -11,9 +11,10 @@ At the branch switch x = 2 b both rules give rho = 2; the interior branch is
 used there. Evaluations run in log space and only exponentiate at the end:
 far tails underflow cleanly to exactly 0.0 instead of raising.
 
-KernelPlan resolves the per-point constants (shape, log-normaliser,
-digamma of the shape, derivative prefactor) for a whole array of points at
-once and writes the kernel matrix in place, so each formula is written
+In u = t / b the kernel is u^(rho - 1) e^(-u) / (b Gamma(rho)), so b K is
+a function of u alone. KernelPlan resolves the per-point constants (shape,
+ln Gamma and digamma of the shape, derivative prefactor) for a whole array
+of points at once and writes b K in place, so each formula is written
 once. kernel_value(x, b, t) and kernel_x_derivative(x, b, t) evaluate the
 kernel of one point and its x-derivative through a one-point plan; they
 are the per-observation oracles the estimator is checked against.
@@ -22,7 +23,6 @@ are the per-observation oracles the estimator is checked against.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -40,11 +40,11 @@ UNBUFFERED = 16
 class KernelPlan:
     """Kernel constants for evaluation points xs at bandwidth b.
 
-    Per point it holds the shape rho, the log-normaliser
-    lognorm = rho ln b + ln Gamma(rho), psi = digamma(rho), whether the
-    interior branch applies, and the prefactor of the x-derivative:
-    1 / b on the interior branch and x / (2 b^2) on the boundary branch.
-    These arrays are read-only, so that one plan can serve many callers.
+    Per point it holds the shape rho, lognorm = ln Gamma(rho),
+    psi = digamma(rho), whether the interior branch applies, and the
+    x-derivative's unitless prefactor b d rho / dx: 1 on the interior
+    branch and x / (2 b) on the boundary branch. These arrays are
+    read-only, so that one plan can serve many callers.
     """
 
     def __init__(self, xs, b: float):
@@ -67,32 +67,27 @@ class KernelPlan:
         self.rho = np.empty_like(xs)
         self.prefactor = np.empty_like(xs)
         self.rho[self.interior] = xs[self.interior] / b
-        self.prefactor[self.interior] = 1.0 / b
+        self.prefactor[self.interior] = 1.0
         half = xs[boundary] / (2.0 * b)
         self.rho[boundary] = half * half + 1.0
-        two_b2 = 2.0 * b * b
-        # x / (2 b^2) needs 2 b^2 to be a normal float (b above about
-        # 1e-154); below that, (x / (2 b)) / b keeps the quotient finite.
-        self.prefactor[boundary] = (
-            xs[boundary] / two_b2 if two_b2 >= sys.float_info.min else half / b
-        )
-        self.lognorm = self.rho * math.log(b) + log_gamma_array(self.rho)
+        self.prefactor[boundary] = half
+        self.lognorm = log_gamma_array(self.rho)
         self.psi = digamma_array(self.rho)
         for arr in (self.xs, self.interior, self.rho, self.lognorm, self.psi,
                     self.prefactor):
             arr.flags.writeable = False
 
-    def fill_kernel(self, rows: slice, log_t, t_over_b, out: np.ndarray) -> np.ndarray:
-        """Write the kernels of the points in `rows` at observations t > 0 into out.
+    def fill_kernel(self, rows: slice, log_u, u, out: np.ndarray) -> np.ndarray:
+        """Write b times the kernels of the points in `rows` at observations t > 0 into out.
 
-        With log_t = ln t and t_over_b = t / b, out[i, j] becomes
-        exp((rho_i - 1) ln t_j - t_j / b - lognorm_i), computed in place.
+        With u = t / b and log_u = ln u, out[i, j] becomes
+        b K = exp((rho_i - 1) ln u_j - u_j - lognorm_i), computed in place.
         The three broadcast passes run unbuffered (see UNBUFFERED).
         """
         old = np.setbufsize(UNBUFFERED)
         try:
-            np.multiply(self.rho[rows, None] - 1.0, log_t, out=out)
-            out -= t_over_b
+            np.multiply(self.rho[rows, None] - 1.0, log_u, out=out)
+            out -= u
             out -= self.lognorm[rows, None]
         finally:
             np.setbufsize(old)
@@ -110,10 +105,10 @@ def _one_point(x: float, b: float, t) -> tuple[KernelPlan, np.ndarray, np.ndarra
     return plan, arr, arr > 0.0
 
 
-def _kernel(plan: KernelPlan, tp: np.ndarray) -> np.ndarray:
-    """Kernel of a one-point plan at observations tp > 0."""
-    out = np.empty((1, tp.size))
-    return plan.fill_kernel(slice(0, 1), np.log(tp), tp / plan.b, out)[0]
+def _kernel(plan: KernelPlan, u: np.ndarray) -> np.ndarray:
+    """Kernel of a one-point plan at observations t > 0, given as u = t / b."""
+    out = np.empty((1, u.size))
+    return plan.fill_kernel(slice(0, 1), np.log(u), u, out)[0] / plan.b
 
 
 def kernel_value(x: float, b: float, t) -> float | np.ndarray:
@@ -124,7 +119,7 @@ def kernel_value(x: float, b: float, t) -> float | np.ndarray:
     """
     plan, arr, pos = _one_point(x, b, t)
     out = np.zeros_like(arr)
-    out[pos] = _kernel(plan, arr[pos])
+    out[pos] = _kernel(plan, arr[pos] / plan.b)
     if plan.rho[0] == 1.0:
         out[~pos] = 1.0 / plan.b
     return float(out) if arr.ndim == 0 else out
@@ -140,12 +135,13 @@ def kernel_x_derivative(x: float, b: float, t) -> float | np.ndarray:
 
     with the log factor L(t) = ln(t / b) - digamma(rho), the derivative of
     the log-kernel in the shape, and the branch prefactors agreeing at
-    x = 2 b. The t = 0 limit is 0 on both branches.
+    x = 2 b (the plan holds b times each). The t = 0 limit is 0 on both
+    branches.
     """
     plan, arr, pos = _one_point(x, b, t)
     prefactor = plan.prefactor[0]
     out = np.zeros_like(arr)
     if prefactor != 0.0:
-        tp = arr[pos]
-        out[pos] = prefactor * _kernel(plan, tp) * (np.log(tp / plan.b) - plan.psi[0])
+        u = arr[pos] / plan.b
+        out[pos] = prefactor * _kernel(plan, u) * (np.log(u) - plan.psi[0]) / plan.b
     return float(out) if arr.ndim == 0 else out

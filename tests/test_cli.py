@@ -233,8 +233,7 @@ class TestReproduce:
         [
             (1e-60, "the ISE of mode 'fixed_1e-61' at n=50 overflows: it reaches 5.29"),
             (1e-100, "the ISE of mode 'fixed_1e-101' at n=50 overflows: it reaches inf,"),
-            (1e-154, "the estimates of mode 'fixed_1e-155' at n=50 leave the float "
-                     "range: derivative values must be finite"),
+            (1e-154, "the ISE of mode 'fixed_1e-155' at n=50 overflows: it reaches inf,"),
             (1e-200, "the true derivative overflows the float range on the grid"),
         ],
     )

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gammakde import estimator
 from gammakde.estimator import (
@@ -251,9 +253,9 @@ class TestMemory:
         assert peak <= 2 * 2**20
 
     def test_peak_is_one_workspace_at_verify_lemmas_shape(self):
-        # At n = 1e5 a block is one row, so the workspace is four sample-length
-        # rows (log t, t / b, log(t / b) and the kernel); no other
-        # sample-length array is allocated, not even a copy of the sample.
+        # At n = 1e5 a block is one row, so the workspace is three sample-length
+        # rows (u = t / b, ln u and the kernel); no other sample-length array
+        # is allocated, not even a copy of the sample.
         n = 100_000
         s = draw_sample(MaxwellParams(), n, 4)
         estimator._plan.cache_clear()
@@ -263,7 +265,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * n
+        assert peak <= 3.5 * 8 * n
 
 
 class TestPlanMemo:
@@ -375,10 +377,10 @@ class TestBatch:
             assert np.array_equal(ev.derivative, checked.derivative)
 
     def test_an_estimate_that_overflows_fails_its_check(self):
-        # sigma = 1e-154 puts the slope estimates near 1e308; the product of
-        # the kernel prefactor and a derivative sum overflows. No warning
-        # (pytest makes RuntimeWarnings errors), one ValueError.
-        sigma = 1e-154
+        # sigma = 1e-155 puts the slope estimates near 1e310, past the
+        # largest float. No warning (pytest makes RuntimeWarnings errors),
+        # one ValueError.
+        sigma = 1e-155
         samples = [draw_sample(MaxwellParams(sigma), 50, derived_seed(3, r)) for r in range(2)]
         grid = GridSpec(min=0.05 * sigma, max=4.0 * sigma, points=10).array()
         with pytest.raises(ValueError, match="derivative values must be finite"):
@@ -386,6 +388,17 @@ class TestBatch:
         # The one-point estimate takes the same checked path.
         with pytest.raises(ValueError, match="derivative values must be finite"):
             derivative_at(samples[0], 0.1 * sigma, 0.445 * sigma)
+
+    def test_an_estimate_near_the_largest_float_is_finite(self):
+        # At sigma = 1e-154 the slope estimate is about 6e307: finite, and
+        # sigma^-2 times the sigma = 1 estimate, since the core divides by b
+        # only at the end.
+        sigma = 1e-154
+        got = derivative_at(draw_sample(MaxwellParams(sigma), 50, derived_seed(3, 0)),
+                            0.1 * sigma, 0.445 * sigma)
+        want = derivative_at(draw_sample(MaxwellParams(), 50, derived_seed(3, 0)), 0.1, 0.445)
+        assert math.isfinite(got) and got > 1e307
+        assert rel_err(got * sigma * sigma, want) <= 1e-14
 
     def test_empty_batch_and_checks(self):
         s = Sample(np.array([1.0, 2.0]))
@@ -403,6 +416,42 @@ class TestBatch:
             evaluate_batch([zero], 1e-310, [0.0])
         with pytest.raises(ValueError, match="density values must be finite and >= 0"):
             evaluate_on_grid(zero, 1e-310, [0.0])
+
+
+class TestScaleEquivariance:
+    """Samples, points and b scaled by 2^k scale the estimates by exactly 2^-k and 2^-2k.
+
+    The core fills b K, a function of u = t / b alone, and divides by b
+    only at the end, so the same ufuncs see the same mantissas at every k:
+    this holds on any SIMD path. Zeros in the samples and the x = 0 point
+    take the rho = 1 path.
+    """
+
+    GRID = np.linspace(0.0, 3.0, 31)
+
+    @given(
+        k=st.integers(min_value=-100, max_value=100),
+        n=st.integers(min_value=1, max_value=300),
+        count=st.integers(min_value=1, max_value=3),
+        zeros=st.integers(min_value=0, max_value=5),
+        b=st.floats(min_value=0.005, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(k=100, n=200, count=2, zeros=3, b=0.01, seed=1)
+    @example(k=-100, n=1, count=1, zeros=0, b=0.005, seed=2)
+    def test_estimates_rescale_exactly(self, k, n, count, zeros, b, seed):
+        samples = []
+        for r in range(count):
+            values = draw_sample(MaxwellParams(), n, derived_seed(seed, r)).values.copy()
+            values[:zeros] = 0.0
+            samples.append(values)
+        _, want_density, want_derivative = evaluate_batch(
+            [Sample(v) for v in samples], b, self.GRID)
+        _, density, derivative = evaluate_batch(
+            [Sample(np.ldexp(v, k)) for v in samples], math.ldexp(b, k), np.ldexp(self.GRID, k))
+        assert np.array_equal(density, np.ldexp(want_density, -k))
+        assert np.array_equal(derivative, np.ldexp(want_derivative, -2 * k))
 
 
 def _address(arr) -> int:
@@ -442,6 +491,24 @@ class TestWorkspace:
         ]
         for rows, cols in ((1, 1), (3, 7), (34, 4200)):
             assert _address(workspace(rows, cols)) % 64 == 0
+
+    def test_a_growing_buffer_frees_the_smaller_one_first(self, monkeypatch):
+        # n = 500 on the 400-point grid takes a (264, 500) workspace, and
+        # n = 4000 a larger (34, 4000) one: the kept buffer grows, and the
+        # two are never held at once.
+        grid = GridSpec().array()
+        small, large = (draw_sample(MaxwellParams(), n, 9) for n in (500, 4000))
+        monkeypatch.setattr(estimator._kept, "work", None, raising=False)
+        tracemalloc.start()
+        try:
+            evaluate_batch([small], 0.1, grid)
+            evaluate_batch([large], 0.1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = estimator._kept.work.size
+        assert kept >= 34 * 4000 > 264 * 500
+        assert peak <= 8 * kept + 2**18
 
     def test_estimates_do_not_depend_on_the_offset(self, monkeypatch):
         # Each 8-byte offset from a cache line's start, 0 to 56 bytes.

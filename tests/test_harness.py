@@ -572,6 +572,46 @@ class TestRunExperiment:
         assert all("earlier reported" not in note for note in rep.notes)
 
 
+def _fixed_run(k: int, c: float):
+    """run_experiment at Maxwell sigma = 2^k, n = 200, on (0.02 sigma, 4 sigma] at b = c sigma."""
+    sigma = math.ldexp(1.0, k)
+    return run_experiment(ExperimentConfig(
+        distribution=MaxwellParams(sigma), n=200, seed=7, replications=3,
+        grid=GridSpec(min=0.02 * sigma, max=4.0 * sigma),
+        bandwidth_modes=(FixedBandwidth(c * sigma),),
+    ))
+
+
+class TestScaleEquivariance:
+    """A fixed-bandwidth run at Maxwell sigma = 2^k is the sigma = 1 run, rescaled bit for bit.
+
+    The draws are sigma times the unit draws, the grid and the bandwidth
+    scale exactly, and the estimator works in u = t / b and divides by b at
+    the end, so each ISE is 2^(-3k) and each curve 2^(-2k) times its
+    sigma = 1 value. The same ufuncs run on the same mantissas at every k,
+    so this holds on any SIMD path. Past |k| = 100 the squared differences
+    inside the ISE leave the normal float range.
+    """
+
+    @given(k=st.integers(min_value=-100, max_value=100),
+           c=st.sampled_from([0.1, 0.03, 0.005]))
+    @settings(max_examples=20, deadline=None)
+    @example(k=100, c=0.005)
+    @example(k=-100, c=0.1)
+    def test_fixed_modes_rescale_exactly(self, k, c):
+        base, run = _fixed_run(0, c), _fixed_run(k, c)
+        assert [r["replication"] for r in run.per_replication_ise] == [0, 1, 2]
+        got = np.array([r["ise"] for r in run.per_replication_ise])
+        want = np.array([r["ise"] for r in base.per_replication_ise])
+        assert np.array_equal(got, np.ldexp(want, -3 * k))
+        [want_curve], [got_curve] = base.curves.values(), run.curves.values()
+        assert got_curve.bandwidth == math.ldexp(want_curve.bandwidth, k)
+        assert np.array_equal(got_curve.grid, np.ldexp(want_curve.grid, k))
+        assert np.array_equal(got_curve.density, np.ldexp(want_curve.density, -k))
+        assert np.array_equal(got_curve.derivative, np.ldexp(want_curve.derivative, -2 * k))
+        assert np.array_equal(run.true_derivative, np.ldexp(base.true_derivative, -2 * k))
+
+
 def test_studies_write_no_file(tmp_path, monkeypatch):
     # output_dir tells the command line where to write; a study itself
     # returns its result and leaves the working directory as it found it.

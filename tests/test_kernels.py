@@ -226,12 +226,13 @@ class TestUnbufferedPasses:
         old = np.setbufsize(start)
         try:
             out = np.empty((3, self.T.size))
-            self.PLAN.fill_kernel(slice(0, 3), np.log(self.T), self.T / 0.1, out)
+            self.PLAN.fill_kernel(slice(0, 3), np.log(self.T / 0.1), self.T / 0.1, out)
             assert np.getbufsize() == start
         finally:
             np.setbufsize(old)
+        # fill_kernel writes b K, the kernel in u = t / b units.
         want = [kernel_value(x, 0.1, self.T) for x in (0.05, 0.5, 1.0)]
-        assert np.array_equal(out, want)
+        assert np.array_equal(out / 0.1, want)
 
     @pytest.mark.parametrize("start", [np.getbufsize(), 4096])
     def test_restored_after_raise(self, start):
@@ -239,7 +240,8 @@ class TestUnbufferedPasses:
         try:
             wrong_shape = np.empty((3, self.T.size + 1))
             with pytest.raises(ValueError):
-                self.PLAN.fill_kernel(slice(0, 3), np.log(self.T), self.T / 0.1, wrong_shape)
+                self.PLAN.fill_kernel(slice(0, 3), np.log(self.T / 0.1), self.T / 0.1,
+                                      wrong_shape)
             assert np.getbufsize() == start
         finally:
             np.setbufsize(old)
@@ -247,13 +249,13 @@ class TestUnbufferedPasses:
 
 def test_tiny_bandwidth_computes_each_branch_on_its_points():
     # At b = 1e-300 the boundary formulas overflow (half * half) on interior
-    # points, and 2 b^2 underflows to 0; pytest turns a RuntimeWarning into
-    # an error.
+    # points; pytest turns a RuntimeWarning into an error. The prefactor is
+    # unitless (b times d rho / dx), so it stays of order 1 at any b.
     b = 1e-300
     plan = KernelPlan([0.0, 1e-300, 0.02, 4.0], b)
     assert plan.interior.tolist() == [False, False, True, True]
     assert plan.rho[0] == 1.0 and plan.rho[1] == 1.25
     assert plan.rho[2] == 0.02 / b and plan.rho[3] == 4.0 / b
-    assert plan.prefactor[0] == 0.0 and plan.prefactor[1] == 0.5 / b
-    assert plan.prefactor[2] == plan.prefactor[3] == 1.0 / b
+    assert plan.prefactor[0] == 0.0 and plan.prefactor[1] == 0.5
+    assert plan.prefactor[2] == plan.prefactor[3] == 1.0
     assert np.all(np.isfinite(plan.lognorm[2:])) and np.all(np.isfinite(plan.psi))
